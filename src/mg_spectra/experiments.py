@@ -157,7 +157,7 @@ def validate_config(name: str, config: dict):
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return "%d" % value

@@ -20,8 +20,15 @@ alpha_1^2)).  With diffusivity kappa > 0 every sigma alpha_q is replaced by
 (sigma + kappa (k1^2 + k2^2 + m^2 q^2)) alpha_q and a positive root may or
 may not survive.
 
-A dense truncated eigenvalue solver over the same recursion serves as an
-independent oracle for the continued-fraction root.
+The recursion matrix is similar to a symmetric tridiagonal one, and the
+denominators x_q - F_{q+1} of the backward recurrence are its pivots at
+shift sigma, each scaled by alpha_q > 0.  So sigma lies below the top
+eigenvalue exactly when some denominator is negative: a Sturm count
+(Barth, Martin and Wilkinson 1967) in continued-fraction form (Gautschi
+1967, SIAM Rev. 9).  Every root here, scalar or swept over a (k1, k2) box,
+with or without diffusion, is found by one bisection on that test, and
+the test and the eigenvector come from one recurrence kernel.  Dense
+LAPACK on the truncated symmetric matrix serves as an independent oracle.
 """
 
 from __future__ import annotations
@@ -32,21 +39,21 @@ import numpy as np
 
 from .params import ModeParams, PhysicalParams
 
-
-class DomainError(ValueError):
-    """Raised when the closed-form tail is evaluated below its branch point."""
+_DEPTH = 64         # recurrence levels below the closed-form tail
+_MAX_BISECT = 200   # guard: an interval with a NaN end never stops shrinking
 
 
 class PoleError(ArithmeticError):
     """A continued-fraction denominator hit zero or crossed sign.
 
-    Signals that sigma sits below the valid range; carries the offending
-    level.
+    Signals that sigma sits below the valid range; carries the level p of
+    the fraction F_p being evaluated.
     """
 
     def __init__(self, level: int, sigma: float):
         super().__init__(
-            "continued fraction pole at level %d for sigma = %.17g" % (level, sigma)
+            "continued fraction F_%d has a pole for sigma = %.17g"
+            % (level, sigma)
         )
         self.level = level
         self.sigma = sigma
@@ -72,104 +79,109 @@ class ConvergenceError(RuntimeError):
         self.last_estimate = last_estimate
 
 
+def _alpha(q, a, m, k2, ksq, omega, mu):
+    """alpha_q with every argument broadcast; ksq = k1^2 + k2^2."""
+    num = 8.0 * omega * omega * (m * q) ** 2 * (ksq + (m * q) ** 2) \
+        + 2.0 * mu * mu * k2 ** 4
+    return num / (a * mu * m * k2 ** 2 * ksq)
+
+
 def alpha(p, mp: ModeParams):
     """Recursion coefficient alpha_p; accepts scalar or array p >= 1."""
     p = np.asarray(p, dtype=float)
     if np.any(p < 1):
         raise ValueError("p must be >= 1")
-    om, mu = mp.phys.omega, mp.phys.mu
-    ksq = float(mp.ksq)
-    num = 8.0 * om * om * (mp.m * p) ** 2 * (ksq + (mp.m * p) ** 2) \
-        + 2.0 * mu * mu * mp.k2 ** 4
-    out = num / (mp.a * mu * mp.m * mp.k2 ** 2 * ksq)
+    out = _alpha(p, mp.a, mp.m, mp.k2, float(mp.ksq), mp.phys.omega,
+                 mp.phys.mu)
     return float(out) if out.ndim == 0 else out
 
 
-def g_closed_form(p: int, sigma: float, mp: ModeParams) -> float:
-    """Tail bound G_p = (x - sqrt(x^2 - 4))/2 with x = sigma alpha_p.
+def _recurrence(sigma, al, q0, kappa, ksq, m, keep=0):
+    """Backward recurrence t = 1/(x_q - t) from the top level down to q0 + 1.
 
-    Defined for sigma >= 2/alpha_p; satisfies G_p = 1/(sigma alpha_p - G_p).
+    al[i] holds alpha_q for level q = q0 + i along axis 0; its trailing
+    axes broadcast against sigma (and ksq), so one call serves one slice
+    or a batch of them.  Each level's x_q = (sigma + kappa (ksq + m^2 q^2))
+    alpha_q is formed inside the loop.  The top level seeds t with the
+    closed-form tail G = (x - sqrt(x^2 - 4))/2, or 0 below its branch
+    point x = 2.
+
+    Returns (h, f): h = x_q0 - F_{q0+1}, NaN where a denominator at some
+    level q0 + 1 .. top - 1 is <= 0 (a pole); f[q] = F_q for
+    q0 < q <= keep, or None when keep is 0.
     """
-    x = sigma * alpha(p, mp)
-    if x < 2.0:
-        raise DomainError(
-            "sigma = %g below 2/alpha_%d: negative discriminant" % (sigma, p)
-        )
-    return _g_of_x(x)
+    top = q0 + len(al) - 1
+    pole = False
+    f = np.zeros(keep + 1) if keep else None
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = (sigma + kappa * (ksq + (m * top) ** 2)) * al[-1]
+        t = np.where(x >= 2.0,
+                     2.0 / (x + np.sqrt(np.maximum(x * x - 4.0, 0.0))), 0.0)
+        for q in range(top - 1, q0, -1):
+            den = (sigma + kappa * (ksq + (m * q) ** 2)) * al[q - q0] - t
+            pole = pole | (den <= 0.0)
+            t = 1.0 / den
+            if q <= keep:
+                f[q] = t
+        h = (sigma + kappa * (ksq + (m * q0) ** 2)) * al[0] - t
+    return np.where(pole, np.nan, h), f
 
 
-def _g_of_x(x: float) -> float:
-    # 2/(x + sqrt(x^2-4)) form avoids cancellation for large x
-    return 2.0 / (x + np.sqrt(x * x - 4.0))
+def _below(h):
+    """sigma lies below the top eigenvalue: a pole (NaN) or h < 0."""
+    return np.isnan(h) | (h < 0.0)
 
 
-def _shifted_x(q: int, sigma: float, mp: ModeParams, kappa: float,
-               alpha_q: float) -> float:
-    if kappa == 0.0:
-        return sigma * alpha_q
-    return (sigma + kappa * (mp.ksq + (mp.m * q) ** 2)) * alpha_q
+def _bisect(below, lo, hi):
+    """Bisect until no interval [lo, hi] can shrink; returns the midpoints.
 
-
-def _level_x(p_lo: int, p_hi: int, sigma: float, mp: ModeParams,
-             kappa: float) -> np.ndarray:
-    """sigma_q alpha_q for q = p_lo..p_hi in one vectorized pass."""
-    qs = np.arange(p_lo, p_hi + 1)
-    al = alpha(qs, mp)
-    if kappa:
-        return (sigma + kappa * (mp.ksq + (mp.m * qs) ** 2)) * al
-    return sigma * al
-
-
-def _cf_once(p: int, sigma: float, mp: ModeParams, depth: int,
-             kappa: float) -> float:
-    """Backward recurrence for F_p truncated at level p + depth."""
-    top = p + depth
-    xs = _level_x(p, top, sigma, mp, kappa)
-    t = _g_of_x(xs[-1]) if xs[-1] >= 2.0 else 0.0
-    for i in range(len(xs) - 2, -1, -1):
-        den = xs[i] - t
-        if den <= 0.0:
-            raise PoleError(p + i, sigma)
-        t = 1.0 / den
-    return t
+    below(lo) holds and below(hi) does not.  lo and hi may be arrays, each
+    entry bisected on its own; below maps an array of sigmas to a mask.
+    """
+    for _ in range(_MAX_BISECT):
+        mid = 0.5 * (lo + hi)
+        if np.all((mid == lo) | (mid == hi)):
+            break
+        go_lo = below(mid)
+        lo = np.where(go_lo, mid, lo)
+        hi = np.where(go_lo, hi, mid)
+    return 0.5 * (lo + hi)
 
 
 def f_continued_fraction(p: int, sigma: float, mp: ModeParams,
-                         depth: int = None, kappa: float = 0.0) -> float:
+                         depth: int = _DEPTH, kappa: float = 0.0) -> float:
     """Continued fraction F_p(sigma) = 1/(sigma alpha_p - F_{p+1}(sigma)).
 
     Evaluated by backward recurrence from level p + depth, seeding the tail
     with the closed form G when its branch condition holds and 0 otherwise.
-    With depth omitted, the depth starts at 64 and doubles until two
-    successive evaluations agree to 1e-14 relative.  kappa > 0 applies the
-    diffusive shift at every level.
+    kappa > 0 applies the diffusive shift at every level.  Raises
+    PoleError when a denominator at level p or above is <= 0.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    if depth is not None:
-        if depth < 4:
-            raise ValueError("depth must be >= 4")
-        return _cf_once(p, sigma, mp, depth, kappa)
-    d = 64
-    prev = _cf_once(p, sigma, mp, d, kappa)
-    while d <= 2048:
-        d *= 2
-        cur = _cf_once(p, sigma, mp, d, kappa)
-        if abs(cur - prev) <= 1e-14 * max(abs(cur), 1e-300):
-            return cur
-        prev = cur
-    raise ConvergenceError("continued fraction did not stabilize", prev)
+    if depth < 4:
+        raise ValueError("depth must be >= 4")
+    al = alpha(np.arange(p, p + depth + 1), mp)
+    h, _ = _recurrence(sigma, al, p, kappa, mp.ksq, mp.m)
+    if not h > 0.0:
+        raise PoleError(p, sigma)
+    return float(1.0 / h)
 
 
-def _char(sigma: float, mp: ModeParams, kappa: float, depth) -> float:
+def _char(sigma: float, mp: ModeParams, kappa: float) -> float:
     """h(sigma) = sigma_1 alpha_1 - F_2(sigma); NaN marks a pole."""
-    a1 = alpha(1, mp)
     try:
-        f2 = f_continued_fraction(2, sigma, mp, depth=depth, kappa=kappa)
+        f2 = f_continued_fraction(2, sigma, mp, kappa=kappa)
     except PoleError:
         return float("nan")
-    lhs = _shifted_x(1, sigma, mp, kappa, a1)
-    return lhs - f2
+    return (sigma + kappa * (mp.ksq + mp.m ** 2)) * alpha(1, mp) - f2
+
+
+def _root(mp: ModeParams, kappa: float, lo: float, hi: float):
+    """(sigma*, |h(sigma*)|) by bisection of the pole-or-negative test."""
+    sigma = float(_bisect(lambda s: _below(_char(s, mp, kappa)), lo, hi))
+    h = _char(sigma, mp, kappa)
+    return sigma, abs(h) if np.isfinite(h) else float("inf")
 
 
 def analytic_bracket(mp: ModeParams) -> tuple:
@@ -220,26 +232,17 @@ class UnstableMode:
         }
 
 
-def _fill_mode(mp: ModeParams, kappa: float, sigma: float, lo: float,
-               hi: float, residual: float, P: int) -> UnstableMode:
-    """Backward sweep at the root: eta_p for p = 2..P, then c_tilde."""
-    top = P + 64
-    xs = _level_x(2, top, sigma, mp, kappa)
-    t = _g_of_x(xs[-1]) if xs[-1] >= 2.0 else 0.0
-    f_levels = np.zeros(P + 1)  # f_levels[p] = F_p(sigma), p = 2..P
-    for i in range(len(xs) - 2, -1, -1):
-        q = 2 + i
-        den = xs[i] - t
-        if den <= 0.0:
-            raise PoleError(q, sigma)
-        t = 1.0 / den
-        if q <= P:
-            f_levels[q] = t
+def _unstable_mode(mp: ModeParams, kappa: float, sigma: float, lo: float,
+                   hi: float, residual: float, P: int) -> UnstableMode:
+    """eta_p = -F_p(sigma) for p = 2..P from the recurrence, then c_tilde."""
+    al = alpha(np.arange(1, P + _DEPTH + 1), mp)
+    h, f_levels = _recurrence(sigma, al, 1, kappa, mp.ksq, mp.m, keep=P)
+    if np.isnan(h):
+        raise PoleError(2, sigma)
     eta = -f_levels[2:]
     ps = np.arange(1, P + 1)
-    al = alpha(ps, mp)
     log_eta_csum = np.concatenate([[0.0], np.cumsum(np.log(np.abs(eta)))])
-    log_c = np.log(al) + log_eta_csum
+    log_c = np.log(al[:P]) + log_eta_csum
     sign = np.where(ps % 2 == 1, 1.0, -1.0)
     with np.errstate(under="ignore"):
         c = sign * np.exp(log_c)
@@ -248,7 +251,7 @@ def _fill_mode(mp: ModeParams, kappa: float, sigma: float, lo: float,
                         truncation_P=P, residual=residual)
 
 
-def solve_growth_rate(mp: ModeParams, P: int = 128, depth=None) -> UnstableMode:
+def solve_growth_rate(mp: ModeParams, P: int = 128) -> UnstableMode:
     """Root of sigma alpha_1 = F_2(sigma) inside the analytic bracket.
 
     Bisection, treating a continued-fraction pole as "sigma below the
@@ -256,144 +259,53 @@ def solve_growth_rate(mp: ModeParams, P: int = 128, depth=None) -> UnstableMode:
     1e-12 alpha_1.
     """
     lo, hi = analytic_bracket(mp)
-    h_lo = _char(lo, mp, 0.0, depth)
-    h_hi = _char(hi, mp, 0.0, depth)
-    eff_lo = -1.0 if np.isnan(h_lo) else h_lo
-    if not (eff_lo < 0.0 < h_hi):
+    h_lo = _char(lo, mp, 0.0)
+    h_hi = _char(hi, mp, 0.0)
+    if not (_below(h_lo) and h_hi > 0.0):
         raise BracketError(h_lo, h_hi)
-    sigma, residual = _bisect(lo, hi, mp, 0.0, depth)
-    a1 = alpha(1, mp)
-    if not residual <= 1e-12 * a1:
+    sigma, residual = _root(mp, 0.0, lo, hi)
+    if not residual <= 1e-12 * alpha(1, mp):
         raise ConvergenceError("bisection residual %g exceeds tolerance"
                                % residual, sigma)
-    return _fill_mode(mp, 0.0, sigma, lo, hi, residual, P)
+    return _unstable_mode(mp, 0.0, sigma, lo, hi, residual, P)
 
 
-def _bisect(lo: float, hi: float, mp: ModeParams, kappa: float, depth):
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        h = _char(mid, mp, kappa, depth)
-        if np.isnan(h) or h < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    sigma = 0.5 * (lo + hi)
-    h = _char(sigma, mp, kappa, depth)
-    return sigma, abs(h) if np.isfinite(h) else float("inf")
-
-
-def solve_growth_rate_diffusive(mp: ModeParams, kappa: float, P: int = 128,
-                                depth=None, n_scan: int = 256):
+def solve_growth_rate_diffusive(mp: ModeParams, kappa: float, P: int = 128):
     """Largest positive root of the diffusively shifted characteristic
     equation, or None when diffusion kills every unstable mode.
 
-    Scans sigma downward from the non-diffusive bracket top on a geometric
-    grid spanning six decades, brackets the first sign change (the largest
-    root, since h > 0 above it), then bisects.
+    None exactly when sigma = 0 is not below the top eigenvalue.
+    Otherwise the root is bisected on (0, non-diffusive bracket top]:
+    diffusion only lowers the spectrum.
     """
     if kappa <= 0:
         raise ValueError("kappa must be positive; use solve_growth_rate")
-    _, hi0 = analytic_bracket(mp)
-    prev_s = prev_h = None
-    found = None
-    for r in np.logspace(0.0, -6.0, n_scan + 1):
-        s = hi0 * r
-        h = _char(s, mp, kappa, depth)
-        if np.isnan(h):
-            # pole: below the valid range, nothing further down
-            break
-        if prev_h is not None and prev_h > 0.0 > h:
-            found = (s, prev_s)
-            break
-        prev_s, prev_h = s, h
-    if found is None:
+    if not _below(_char(0.0, mp, kappa)):
         return None
-    lo, hi = found
-    sigma, residual = _bisect(lo, hi, mp, kappa, depth)
-    if sigma <= 0:
-        return None
-    return _fill_mode(mp, kappa, sigma, lo, hi, residual, P)
-
-
-def recursion_matrix(mp: ModeParams, kappa: float = 0.0, P: int = 128) -> np.ndarray:
-    """Dense P x P truncation of the slice generator.
-
-    Row p has -1/alpha_{p-1} and -1/alpha_{p+1} off the diagonal (first row
-    only the latter) and -kappa (k1^2 + k2^2 + m^2 p^2) on it.
-    """
-    if P < 8:
-        raise ValueError("P must be >= 8")
-    al = alpha(np.arange(1, P + 2), mp)
-    A = np.zeros((P, P))
-    for p in range(1, P + 1):
-        if p >= 2:
-            A[p - 1, p - 2] = -1.0 / al[p - 2]
-        if p <= P - 1:
-            A[p - 1, p] = -1.0 / al[p]
-        if kappa:
-            A[p - 1, p - 1] = -kappa * (mp.ksq + (mp.m * p) ** 2)
-    return A
+    _, hi = analytic_bracket(mp)
+    sigma, residual = _root(mp, kappa, 0.0, hi)
+    return _unstable_mode(mp, kappa, sigma, 0.0, hi, residual, P)
 
 
 def truncated_matrix_eigenvalue(mp: ModeParams, kappa: float = 0.0,
-                                P: int = 128, tol: float = 1e-12,
-                                max_iter: int = 200000) -> float:
-    """Largest real eigenvalue of the truncated recursion matrix.
+                                P: int = 128) -> float:
+    """Largest real eigenvalue of the P x P truncated recursion matrix.
 
-    Brute-force oracle for the continued-fraction root.  The matrix is
-    similar to a symmetric tridiagonal one (scale row p by 1/sqrt(alpha_p),
-    flip alternate signs), so the dominant eigenvalue is found by shifted
-    power iteration with a certified residual: a first pass with the
-    Gershgorin shift locates the top of the spectrum, a second pass with a
-    balanced shift converges until ||Av - lambda v|| <= tol.  The start
-    vector is positive, which pins the iteration to the top eigenpair of
-    the entrywise-positive shifted matrix.
+    Independent oracle for the continued-fraction root.  The matrix is
+    similar to the symmetric tridiagonal one with off-diagonal
+    1/sqrt(alpha_p alpha_{p+1}) and diagonal -kappa (k1^2 + k2^2 + m^2 p^2)
+    (scale row p by 1/sqrt(alpha_p), flip alternate signs), whose spectrum
+    dense LAPACK (numpy.linalg.eigvalsh) computes with no recurrence shared
+    with the continued fraction.
     """
     if P < 8:
         raise ValueError("P must be >= 8")
-    al = alpha(np.arange(1, P + 2), mp)
-    diag = -kappa * (mp.ksq + (mp.m * np.arange(1, P + 1)) ** 2)
-    off = 1.0 / np.sqrt(al[: P - 1] * al[1:P])
-
-    def matvec(v):
-        y = diag * v
-        y[:-1] += off * v[1:]
-        y[1:] += off * v[:-1]
-        return y
-
-    radius = np.zeros(P)
-    radius[:-1] += off
-    radius[1:] += off
-    g_lo = float(np.min(diag - radius))
-    g_hi = float(np.max(diag + radius))
-    span = max(g_hi - g_lo, 1e-30)
-
-    v = np.ones(P) / np.sqrt(P)
-    shift = -g_lo + 1e-3 * span
-    for _ in range(300):
-        w = matvec(v) + shift * v
-        v = w / np.linalg.norm(w)
-    rq = float(v @ matvec(v))
-
-    # balanced shift: keeps the bottom of the spectrum subdominant while
-    # maximizing the gap ratio at the top
-    shift = max(0.5 * (-g_lo - rq), 0.0) + 5e-3 * span
-    check_every = 10
-    for it in range(max_iter):
-        w = matvec(v) + shift * v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            raise ConvergenceError("power iteration collapsed", rq)
-        v = w / nw
-        if it % check_every == 0:
-            av = matvec(v)
-            rq = float(v @ av)
-            res = float(np.linalg.norm(av - rq * v))
-            if res <= tol:
-                return rq
-    raise ConvergenceError("power iteration budget exhausted", rq)
+    ps = np.arange(1, P + 1)
+    al = alpha(ps, mp)
+    off = 1.0 / np.sqrt(al[:-1] * al[1:])
+    mat = np.diag(-kappa * (mp.ksq + (mp.m * ps) ** 2)) \
+        + np.diag(off, 1) + np.diag(off, -1)
+    return float(np.linalg.eigvalsh(mat)[-1])
 
 
 def growth_bound_constant(a: float, m: int, phys: PhysicalParams) -> float:
@@ -433,67 +345,30 @@ def dynamo_bound(kappa: float, a: float, phys: PhysicalParams) -> float:
 
 
 def sweep_growth_rates(kappa: float, a: float, m: int, phys: PhysicalParams,
-                       k1_max: int, k2_max: int, depth: int = 64,
-                       n_scan: int = 256, n_bisect: int = 64):
+                       k1_max: int, k2_max: int):
     """Vectorized diffusive root solve over the integer box
     [1, k1_max] x [1, k2_max].
 
     Returns (k1_grid, k2_grid, sigma) with NaN where no positive root
-    exists.  Same scan-then-bisect policy as the scalar solver, evaluated
-    for all wavenumber pairs at once.
+    exists.  Same test and bisection as the scalar solver, evaluated for
+    all wavenumber pairs at once.
     """
-    om, mu = phys.omega, phys.mu
     k1g, k2g = np.meshgrid(np.arange(1, k1_max + 1), np.arange(1, k2_max + 1),
                            indexing="ij")
     k1 = k1g.ravel().astype(float)
     k2 = k2g.ravel().astype(float)
     ksq = k1 * k1 + k2 * k2
-    levels = 2 + depth
-    q = np.arange(1, levels + 1)[:, None]
-    num = 8.0 * om * om * (m * q) ** 2 * (ksq[None, :] + (m * q) ** 2) \
-        + 2.0 * mu * mu * (k2 ** 4)[None, :]
-    al = num / (a * mu * m * k2 ** 2 * ksq)[None, :]
+    q = np.arange(1, _DEPTH + 3)[:, None]
+    al = _alpha(q, a, m, k2, ksq, phys.omega, phys.mu)
 
-    def h_vec(sigma):
-        # backward recurrence for all pairs at once; NaN marks a pole
-        x_top = (sigma + kappa * (ksq + (m * levels) ** 2)) * al[levels - 1]
-        t = np.where(x_top >= 2.0,
-                     2.0 / (x_top + np.sqrt(np.maximum(x_top * x_top - 4.0, 0.0))),
-                     0.0)
-        bad = np.zeros(sigma.shape, dtype=bool)
-        for qi in range(levels - 2, 0, -1):
-            x = (sigma + kappa * (ksq + (m * (qi + 1)) ** 2)) * al[qi]
-            den = x - t
-            bad |= den <= 0.0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t = np.where(bad, np.nan, 1.0 / den)
-        h = (sigma + kappa * (ksq + m * m)) * al[0] - t
-        return np.where(bad, np.nan, h)
+    def below(sigma):
+        return _below(_recurrence(sigma, al, 1, kappa, ksq, m)[0])
 
-    hi0 = 1.0 / np.sqrt(al[0] * al[1] - al[0] * al[0])
-    lo = np.full(k1.shape, np.nan)
-    hi = np.full(k1.shape, np.nan)
-    prev_h = np.full(k1.shape, np.nan)
-    prev_s = np.full(k1.shape, np.nan)
-    found = np.zeros(k1.shape, dtype=bool)
-    for r in np.logspace(0.0, -6.0, n_scan + 1):
-        s = hi0 * r
-        h = h_vec(s)
-        new = (~found) & (prev_h > 0.0) & (h < 0.0)
-        lo[new] = s[new]
-        hi[new] = prev_s[new]
-        found |= new
-        valid = ~np.isnan(h)
-        prev_h = np.where(valid, h, np.nan)
-        prev_s = np.where(valid, s, prev_s)
-    for _ in range(n_bisect):
-        mid = 0.5 * (lo + hi)
-        h = h_vec(mid)
-        go_lo = np.isnan(h) | (h < 0.0)
-        lo = np.where(found & go_lo, mid, lo)
-        hi = np.where(found & ~go_lo, mid, hi)
-    sigma = np.where(found, 0.5 * (lo + hi), np.nan)
-    return k1g, k2g, sigma.reshape(k1g.shape)
+    zero = np.zeros(ksq.shape)
+    root = below(zero)
+    hi = np.where(root, 1.0 / np.sqrt(al[0] * al[1] - al[0] * al[0]), 0.0)
+    sigma = _bisect(below, zero, hi)
+    return k1g, k2g, np.where(root, sigma, np.nan).reshape(k1g.shape)
 
 
 @dataclass(frozen=True)

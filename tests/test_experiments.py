@@ -1,6 +1,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from mg_spectra import cli, experiments
@@ -38,6 +39,14 @@ def test_validate_config_rejects(config, fragment):
 def test_unknown_experiment():
     with pytest.raises(experiments.ExperimentError):
         experiments.validate_config("sigma-tablez", {})
+
+
+def test_fmt_spells_numpy_bools_like_python_bools():
+    # a comparison of numpy floats yields np.bool_, which must not flip a
+    # CSV boolean from "true" to "True"
+    assert experiments._fmt(np.float64(1.0) < 2.0) == "true"
+    assert experiments._fmt(np.bool_(False)) == "false"
+    assert experiments._fmt(True) == "true"
 
 
 def test_run_sigma_table_small(tmp_path):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mg_spectra.params import ModeParams, PhysicalParams
 from mg_spectra import spectrum
@@ -53,15 +54,6 @@ def test_analytic_bracket_unit():
     assert hi == pytest.approx(1.0 / np.sqrt(13.0 * 97.0 - 169.0), rel=1e-15)
     assert lo == pytest.approx(0.028160636, abs=1e-9)
     assert hi == pytest.approx(0.030261377, abs=1e-9)
-
-
-def test_g_closed_form_domain():
-    # sigma * alpha_p < 2 has no real tail fixed point
-    with pytest.raises(spectrum.DomainError):
-        spectrum.g_closed_form(1, 1e-4, UNIT)
-    g = spectrum.g_closed_form(1, 1.0, UNIT)
-    # g solves g = 1/(sigma*alpha_1 - g)
-    assert g == pytest.approx(1.0 / (13.0 - g), rel=1e-13)
 
 
 def test_continued_fraction_depth_convergence():
@@ -124,19 +116,6 @@ def test_matrix_oracle_agreement():
         assert abs(lam - mode.sigma) <= 1e-8 * mode.sigma
 
 
-def test_recursion_matrix_structure():
-    mp = UNIT
-    A = spectrum.recursion_matrix(mp, P=8)
-    assert A.shape == (8, 8)
-    assert A[0, 1] == pytest.approx(-1.0 / 97.0)
-    assert A[1, 0] == pytest.approx(-1.0 / 13.0)
-    assert A[2, 1] == pytest.approx(-1.0 / 97.0)
-    assert np.all(np.diag(A) == 0.0)
-    kap = 0.5
-    Ak = spectrum.recursion_matrix(mp, kappa=kap, P=8)
-    assert Ak[2, 2] == pytest.approx(-kap * (2.0 + 9.0))
-
-
 def test_diffusive_root_unit():
     mode = spectrum.solve_growth_rate_diffusive(UNIT, 1e-3)
     assert mode.sigma == pytest.approx(0.02405420743165633, rel=1e-10)
@@ -151,6 +130,67 @@ def test_diffusive_no_root_returns_none():
     # the matrix spectrum is then entirely non-positive
     lam = spectrum.truncated_matrix_eigenvalue(mp, kappa=1e-3)
     assert lam <= 1e-10
+
+
+@pytest.fixture(scope="module")
+def unit_kappa_c():
+    """kappa where the dense top eigenvalue of UNIT crosses zero."""
+    lo = 0.0
+    hi = 2.0 * spectrum.truncated_matrix_eigenvalue(UNIT) / (UNIT.ksq + 1)
+    while hi - lo > 1e-15 * hi:
+        mid = 0.5 * (lo + hi)
+        if spectrum.truncated_matrix_eigenvalue(UNIT, kappa=mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+# kappa_c (1 - 10^-j) puts the root about 10^-j below the bracket top,
+# under the six decades a log-scan for a sign change would cover
+@pytest.mark.parametrize("j,lam_expected", [(6, 2.68e-8), (7, 2.68e-9)])
+def test_near_critical_diffusive_root(unit_kappa_c, j, lam_expected):
+    kappa = unit_kappa_c * (1.0 - 10.0 ** -j)
+    lam = spectrum.truncated_matrix_eigenvalue(UNIT, kappa=kappa)
+    assert lam == pytest.approx(lam_expected, rel=1e-2)
+    mode = spectrum.solve_growth_rate_diffusive(UNIT, kappa)
+    assert mode is not None
+    assert abs(mode.sigma - lam) <= 1e-8 * lam
+
+
+@pytest.mark.parametrize("j", [6, 7])
+def test_near_critical_sweep_matches_scalar(unit_kappa_c, j):
+    kappa = unit_kappa_c * (1.0 - 10.0 ** -j)
+    _, _, sg = spectrum.sweep_growth_rates(kappa, 1.0, 1, UNIT.phys, 1, 1)
+    mode = spectrum.solve_growth_rate_diffusive(UNIT, kappa)
+    assert np.isfinite(sg[0, 0])
+    assert sg[0, 0] == mode.sigma
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=st.floats(0.25, 4.0), m=st.integers(1, 4),
+       k1=st.integers(1, 8), k2=st.integers(1, 8),
+       frac=st.floats(0.0, 1.5))
+def test_root_matches_dense_oracle(a, m, k1, k2, frac):
+    # the diffusive diagonal is at most -kappa (k1^2 + k2^2 + m^2), so every
+    # root is gone once frac > 1/2; up to 1.5 the rootless side is drawn too
+    mp = _mode(a, m, k1, k2)
+    kappa = frac * 2.0 * spectrum.truncated_matrix_eigenvalue(mp) \
+        / (mp.ksq + m * m)
+    lam = spectrum.truncated_matrix_eigenvalue(mp, kappa=kappa)
+    if kappa == 0.0:
+        mode = spectrum.solve_growth_rate(mp)
+    else:
+        mode = spectrum.solve_growth_rate_diffusive(mp, kappa)
+    if mode is None:
+        assert lam <= 1e-10
+    else:
+        assert abs(mode.sigma - lam) <= 1e-8 * lam
+    _, _, sg = spectrum.sweep_growth_rates(kappa, a, m, mp.phys, k1, k2)
+    if mode is None:
+        assert np.isnan(sg[-1, -1])
+    else:
+        assert sg[-1, -1] == mode.sigma
 
 
 def test_diffusive_kills_all_roots_at_large_kappa():
