@@ -16,6 +16,8 @@ integrators are classical RK4 with fixed step.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -27,7 +29,7 @@ from .fields import (GevreyTracker, InsufficientShellsError, SpectralField,
                      gevrey_norm, l2_norm, radius_estimate, sobolev_a)
 from .params import ModeParams, PhysicalParams
 from .spectrum import UnstableMode, alpha, solve_growth_rate
-from .symbols import b_symbol_grids, m_symbol_grids
+from .symbols import b_symbol_grids, m_symbol, m_symbol_grids
 
 
 class DivergenceError(RuntimeError):
@@ -169,14 +171,12 @@ def sine_steady_coeffs(a: float, m: int) -> dict:
     return {m: -0.5j * a, -m: 0.5j * a}
 
 
-def _vertical_symbol(mp: ModeParams, n: np.ndarray) -> np.ndarray:
-    """Third velocity multiplier along the slice, M3(k1, k2, n); 0 at n = 0."""
-    om, mu = mp.phys.omega, mp.phys.mu
-    ksq = float(mp.ksq)
-    n = np.asarray(n, dtype=float)
-    den = 4.0 * om * om * n * n * (ksq + n * n) + mu * mu * mp.k2 ** 4
-    out = mu * mp.k2 ** 2 * ksq / den
-    return np.where(n == 0, 0.0, out)
+@functools.lru_cache(maxsize=16)
+def _slice_m3(mp: ModeParams, half: int) -> np.ndarray:
+    """M3 along the slice profile k3 = -half..half (read-only, cached)."""
+    m3 = m_symbol((mp.k1, mp.k2, np.arange(-half, half + 1)), mp.phys)[2]
+    m3.flags.writeable = False
+    return m3
 
 
 def full_slice_rhs(state: FullSliceState, steady: dict) -> np.ndarray:
@@ -189,7 +189,7 @@ def full_slice_rhs(state: FullSliceState, steady: dict) -> np.ndarray:
     th = state.theta
     half = state.half
     n = np.arange(-half, half + 1)
-    msym = _vertical_symbol(state.mp, n)
+    msym = _slice_m3(state.mp, half)
     rhs = np.zeros_like(th)
     for d, coeff in steady.items():
         d = int(d)
@@ -217,7 +217,7 @@ def gronwall_constant(mp: ModeParams, steady: dict) -> float:
 def _full_slice_row_sum(state: FullSliceState, steady: dict) -> float:
     half = state.half
     n = np.arange(-half, half + 1)
-    msym = _vertical_symbol(state.mp, n)
+    msym = _slice_m3(state.mp, half)
     row = np.zeros(state.theta.size)
     for d, coeff in steady.items():
         d = int(d)
@@ -371,25 +371,25 @@ def eigenmode_field(mode: UnstableMode, n: int) -> SpectralField:
     """Unit-l2 spectral embedding of a slice eigenvector.
 
     sin(k1 x1) sin(k2 x2) sin(mp x3) splits into eight exponentials with
-    coefficient (i/8) s1 s2 s3 at wavevector (s1 k1, s2 k2, s3 m p).
-    Vertical modes beyond the truncation radius are dropped (their
-    coefficients are far below round-off).
+    coefficient (i/8) s1 s2 s3 at wavevector (s1 k1, s2 k2, s3 m p).  Only
+    modes inside the 2/3 dealias band |k_i| <= (2n+1)//3 are kept: the
+    nonlinear solver would alias the rest.  Vertical modes beyond the band
+    are dropped (the eigenvector decays fast in p).
     """
     mp = mode.params
-    if mp.k1 > n or mp.k2 > n:
-        raise ValueError("mode wavenumbers exceed the truncation radius")
-    if mp.m > n:
+    cut = (2 * n + 1) // 3
+    if mp.k1 > cut or mp.k2 > cut:
+        raise ValueError("mode wavenumbers exceed the dealias band %d" % cut)
+    if mp.m > cut:
         raise ValueError("no vertical room for the eigenmode")
     coeffs = np.zeros((2 * n + 1,) * 3, dtype=np.complex128)
     for p0, cp in enumerate(mode.c_tilde):
         p = p0 + 1
-        if mp.m * p > n or cp == 0.0:
+        if mp.m * p > cut or cp == 0.0:
             break
-        for s1 in (1, -1):
-            for s2 in (1, -1):
-                for s3 in (1, -1):
-                    coeffs[n + s1 * mp.k1, n + s2 * mp.k2, n + s3 * mp.m * p] \
-                        += 0.125j * s1 * s2 * s3 * cp
+        for s1, s2, s3 in itertools.product((1, -1), repeat=3):
+            coeffs[n + s1 * mp.k1, n + s2 * mp.k2, n + s3 * mp.m * p] \
+                += 0.125j * s1 * s2 * s3 * cp
     nrm = np.linalg.norm(coeffs.ravel())
     if nrm == 0:
         raise ValueError("eigenvector has no modes inside the truncation")
@@ -570,6 +570,9 @@ def _validate_initial(theta0: SpectralField) -> None:
         raise ValueError("initial data must be mean-zero")
     if float(np.abs(c[:, :, n]).max()) > 1e-13 * scale:
         raise ValueError("initial data must have zero vertical mean")
+    # advection pairs two real fields in one complex FFT
+    if float(np.abs(c - np.conj(c[::-1, ::-1, ::-1])).max()) > 1e-13 * scale:
+        raise ValueError("initial data must be real: c(-k) = conj(c(k))")
 
 
 def _window_parameters(theta0: SpectralField, settings: NonlinearSettings):
@@ -602,9 +605,10 @@ def evolve_nonlinear(theta0: SpectralField, kappa: float,
                      settings: NonlinearSettings = None) -> NonlinearTrajectory:
     """Advance the nonlinear MG equation and record diagnostics per step.
 
-    theta0 must be mean-zero with zero vertical mean.  For kappa = 0 the
-    run is held inside the analytic window tau0/(2 c_r K0); horizons beyond
-    it are refused (local analytic theory gives no meaning to the output).
+    theta0 must be real (Hermitian coefficients), mean-zero and with zero
+    vertical mean.  For kappa = 0 the run is held inside the analytic
+    window tau0/(2 c_r K0); horizons beyond it are refused (local analytic
+    theory gives no meaning to the output).
     A CFL heuristic (max |U| dt N > 0.5) warns once per run.  Snapshots,
     perturbation norms against a reference field, and the induced magnetic
     perturbation norm are recorded per the settings.

@@ -462,14 +462,9 @@ def _slice_rate_pair(mode, mp, kappa, slice_p):
     dt = min(t_end / 60.0, limit)
     traj = evolution.evolve_full_slice(full, steady, dt, t_end,
                                        snapshot_stride=1)
-    half = full.half
-    n_idx = np.arange(-half, half + 1)
-    wsq = np.zeros(n_idx.size)
-    for i, nv in enumerate(n_idx):
-        if nv == 0:
-            continue
-        b = symbols.b_symbol((mp.k1, mp.k2, int(nv)), mp.phys)
-        wsq[i] = float(np.sum(np.abs(b) ** 2))
+    n_idx = np.arange(-full.half, full.half + 1)
+    wsq = np.sum(np.abs(symbols.b_symbol((mp.k1, mp.k2, n_idx), mp.phys))
+                 ** 2, axis=0)
     snaps = np.asarray(traj.states)
     b_norm = np.sqrt((wsq[None, :] * np.abs(snaps) ** 2).sum(axis=1))
     t_snap = traj.t[: len(b_norm)]

@@ -22,45 +22,51 @@ in divergence form, and the magnetic reconstruction
 b_j = (beta/eta) (i k2) / |k|^2 * M_j(k) giving the perturbation magnetic
 field carried by the scalar.
 
-All symbols are evaluated in double precision by default; the *_exact
-variants use rational arithmetic for integer wavevectors and rational
-(Omega, mu), so algebraic identities can be checked exactly.
+One formula, _m, serves every evaluation.  m_symbol, t_symbol and b_symbol
+take k as integers or integer arrays broadcasting to a shape B and return
+float arrays of shape (3,) + B or (3, 3) + B; the *_grids forms evaluate
+the centered cube; the *_exact variants run _m on Fractions (integer k,
+rational Omega and mu), so algebraic identities can be checked exactly.
 """
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .fields import SpectralField
 from .params import PhysicalParams
 
 
-class SymbolError(ValueError):
-    """Symbol evaluation produced a non-finite value."""
-
-
-def _denominator(k1, k2, k3, omega, mu):
+def _m(k1, k2, k3, omega, mu):
+    """(M1, M2, M3) with arithmetic operators only, so one formula serves
+    floats, broadcast integer arrays and Fractions; k3 = 0 is the caller's."""
     ksq = k1 * k1 + k2 * k2 + k3 * k3
-    return 4 * omega * omega * k3 * k3 * ksq + mu * mu * k2 ** 4
+    d = 4 * omega * omega * k3 * k3 * ksq + mu * mu * k2 ** 4
+    return ((2 * omega * k2 * k3 * ksq - mu * k1 * k2 ** 2 * k3) / d,
+            (-2 * omega * k1 * k3 * ksq - mu * k2 ** 3 * k3) / d,
+            mu * k2 ** 2 * (k1 * k1 + k2 * k2) / d)
 
 
-def m_symbol(k: Sequence[int], phys: PhysicalParams) -> np.ndarray:
-    """Velocity multiplier M(k) as a length-3 float array; zero on k3 = 0."""
-    k1, k2, k3 = (float(v) for v in k)
-    if k3 == 0.0:
-        return np.zeros(3)
-    om, mu = phys.omega, phys.mu
-    ksq = k1 * k1 + k2 * k2 + k3 * k3
-    d = 4.0 * om * om * k3 * k3 * ksq + mu * mu * k2 ** 4
-    return np.array([
-        (2.0 * om * k2 * k3 * ksq - mu * k1 * k2 ** 2 * k3) / d,
-        (-2.0 * om * k1 * k3 * ksq - mu * k2 ** 3 * k3) / d,
-        mu * k2 ** 2 * (k1 * k1 + k2 * k2) / d,
-    ])
+def _cube(n: int):
+    """The centered cube |k|_inf <= n as three broadcastable index arrays."""
+    k = np.arange(-n, n + 1)
+    return k[:, None, None], k[None, :, None], k[None, None, :]
+
+
+def m_symbol(k, phys: PhysicalParams) -> np.ndarray:
+    """Velocity multiplier M(k), shape (3,) + B; zero on k3 = 0.
+
+    k is a triple of integers or integer arrays broadcasting to shape B.
+    """
+    k1, k2, k3 = (np.asarray(v) for v in k)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m = np.stack(np.broadcast_arrays(*_m(k1, k2, k3, phys.omega,
+                                             phys.mu)))
+    np.copyto(m, 0.0, where=k3 == 0)
+    return m
 
 
 def m_symbol_exact(k: Sequence[int], omega, mu) -> tuple[Fraction, Fraction, Fraction]:
@@ -68,14 +74,7 @@ def m_symbol_exact(k: Sequence[int], omega, mu) -> tuple[Fraction, Fraction, Fra
     k1, k2, k3 = (int(v) for v in k)
     if k3 == 0:
         return (Fraction(0), Fraction(0), Fraction(0))
-    om, mu = Fraction(omega), Fraction(mu)
-    ksq = k1 * k1 + k2 * k2 + k3 * k3
-    d = _denominator(k1, k2, k3, om, mu)
-    return (
-        Fraction(2 * om * k2 * k3 * ksq - mu * k1 * k2 ** 2 * k3, 1) / d,
-        Fraction(-2 * om * k1 * k3 * ksq - mu * k2 ** 3 * k3, 1) / d,
-        Fraction(mu * k2 ** 2 * (k1 * k1 + k2 * k2), 1) / d,
-    )
+    return _m(k1, k2, k3, Fraction(omega), Fraction(mu))
 
 
 def divergence_exact(k: Sequence[int], omega, mu) -> Fraction:
@@ -84,15 +83,19 @@ def divergence_exact(k: Sequence[int], omega, mu) -> Fraction:
     return sum(Fraction(int(ki)) * mi for ki, mi in zip(k, m))
 
 
-def t_symbol(k: Sequence[int], phys: PhysicalParams) -> np.ndarray:
-    """Divergence-form matrix T(k), shape (3, 3) complex; zero at k = 0 and on k3 = 0."""
-    k1, k2, k3 = (float(v) for v in k)
-    ksq = k1 * k1 + k2 * k2 + k3 * k3
-    if ksq == 0.0 or k3 == 0.0:
-        return np.zeros((3, 3), dtype=complex)
-    m = m_symbol(k, phys)
-    kvec = np.array([k1, k2, k3])
-    return (-1j * kvec / ksq)[:, None] * m[None, :]
+def t_symbol(k, phys: PhysicalParams) -> np.ndarray:
+    """Divergence-form matrix T_ij(k) = -(i k_i / |k|^2) M_j(k).
+
+    Complex, shape (3, 3) + B for k as in m_symbol; zero at k = 0 and on
+    k3 = 0.
+    """
+    k1, k2, k3 = (np.asarray(v) for v in k)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kq = np.stack(np.broadcast_arrays(k1, k2, k3)) \
+            / (k1 * k1 + k2 * k2 + k3 * k3)
+        t = (-1j * kq)[:, None] * m_symbol(k, phys)
+    np.copyto(t, 0.0, where=k3 == 0)
+    return t
 
 
 def t_symbol_exact(k: Sequence[int], omega, mu) -> tuple:
@@ -102,83 +105,38 @@ def t_symbol_exact(k: Sequence[int], omega, mu) -> tuple:
     so the rational content is returned directly.
     """
     k1, k2, k3 = (int(v) for v in k)
+    if k3 == 0:
+        return ((Fraction(0),) * 3,) * 3
     ksq = k1 * k1 + k2 * k2 + k3 * k3
-    if ksq == 0 or k3 == 0:
-        zero = (Fraction(0),) * 3
-        return (zero, zero, zero)
     m = m_symbol_exact(k, omega, mu)
-    return tuple(
-        tuple(Fraction(-ki, ksq) * mj for mj in m) for ki in (k1, k2, k3)
-    )
+    return tuple(tuple(Fraction(-ki, ksq) * mj for mj in m)
+                 for ki in (k1, k2, k3))
 
 
-def b_symbol(k: Sequence[int], phys: PhysicalParams) -> np.ndarray:
-    """Magnetic reconstruction multiplier, length-3 complex; zero at k = 0 and on k3 = 0."""
-    k1, k2, k3 = (float(v) for v in k)
-    ksq = k1 * k1 + k2 * k2 + k3 * k3
-    if ksq == 0.0 or k3 == 0.0:
-        return np.zeros(3, dtype=complex)
-    return (phys.beta / phys.eta) * (1j * k2 / ksq) * m_symbol(k, phys)
+def b_symbol(k, phys: PhysicalParams) -> np.ndarray:
+    """Magnetic reconstruction multiplier (beta/eta)(i k2 / |k|^2) M(k).
 
-
-def m_symbol_grids(n: int, phys: PhysicalParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """M evaluated on the centered cube |k|_inf <= n, three (2n+1)^3 arrays."""
-    k = np.arange(-n, n + 1)
-    k1, k2, k3 = np.meshgrid(k, k, k, indexing="ij")
-    om, mu = phys.omega, phys.mu
-    ksq = (k1 * k1 + k2 * k2 + k3 * k3).astype(float)
-    d = 4.0 * om * om * k3 * k3 * ksq + mu * mu * k2.astype(float) ** 4
-    with np.errstate(divide="ignore", invalid="ignore"):
-        m1 = (2.0 * om * k2 * k3 * ksq - mu * k1 * k2 * k2 * k3) / d
-        m2 = (-2.0 * om * k1 * k3 * ksq - mu * k2 ** 3 * k3) / d
-        m3 = mu * k2 * k2 * (k1 * k1 + k2 * k2) / d
-    plane = k3 == 0
-    for m in (m1, m2, m3):
-        m[plane] = 0.0
-    return m1, m2, m3
-
-
-def b_symbol_grids(n: int, phys: PhysicalParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """b-multiplier on the centered cube, three complex (2n+1)^3 arrays."""
-    k = np.arange(-n, n + 1)
-    k1, k2, k3 = np.meshgrid(k, k, k, indexing="ij")
-    ksq = (k1 * k1 + k2 * k2 + k3 * k3).astype(float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pref = (phys.beta / phys.eta) * (1j * k2 / ksq)
-    pref[ksq == 0] = 0.0
-    m1, m2, m3 = m_symbol_grids(n, phys)
-    return pref * m1, pref * m2, pref * m3
-
-
-def apply_multiplier(field: SpectralField, symbol: Callable):
-    """Apply a Fourier multiplier coefficientwise to a spectral field.
-
-    symbol maps an integer wavevector (k1, ..., kd) to a scalar or to a
-    length-d vector; the result is a SpectralField, or a tuple of d fields
-    for a vector symbol.  Raises SymbolError on non-finite symbol values.
+    Complex, shape (3,) + B for k as in m_symbol; zero at k = 0 and on
+    k3 = 0.
     """
-    n, dim = field.n, field.dim
-    shape = field.coeffs.shape
-    it = np.ndindex(shape)
-    first = symbol((0,) * dim) if dim else None
-    vec = np.ndim(first) == 1
-    if vec:
-        out = [np.zeros(shape, dtype=complex) for _ in range(dim)]
-    else:
-        out = [np.zeros(shape, dtype=complex)]
-    for idx in it:
-        kvec = tuple(int(i) - n for i in idx)
-        val = symbol(kvec)
-        if not np.all(np.isfinite(val)):
-            raise SymbolError(f"symbol not finite at k = {kvec}")
-        c = field.coeffs[idx]
-        if vec:
-            for j in range(dim):
-                out[j][idx] = val[j] * c
-        else:
-            out[0][idx] = val * c
-    fields = tuple(SpectralField(o) for o in out)
-    return fields if vec else fields[0]
+    k1, k2, k3 = (np.asarray(v) for v in k)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # real factor first: numpy's complex/float division rounds
+        # differently from the real quotient k2 / |k|^2
+        b = 1j * ((phys.beta / phys.eta)
+                  * (k2 / (k1 * k1 + k2 * k2 + k3 * k3))) * m_symbol(k, phys)
+    np.copyto(b, 0.0, where=k3 == 0)
+    return b
+
+
+def m_symbol_grids(n: int, phys: PhysicalParams) -> np.ndarray:
+    """M on the centered cube |k|_inf <= n, shape (3, 2n+1, 2n+1, 2n+1)."""
+    return m_symbol(_cube(n), phys)
+
+
+def b_symbol_grids(n: int, phys: PhysicalParams) -> np.ndarray:
+    """b on the centered cube, complex, shape (3, 2n+1, 2n+1, 2n+1)."""
+    return b_symbol(_cube(n), phys)
 
 
 @dataclass
@@ -190,11 +148,9 @@ class AsymptoticsReport:
 
     def ratio_bounds(self) -> list[tuple[float, float]]:
         """(min, max) of |M1|/k1^r, |M2|/k1, |M3|/k1^{2r} over the curve."""
-        out = []
-        for j in range(3):
-            vals = [row[5 + j] for row in self.rows]
-            out.append((min(vals), max(vals)))
-        return out
+        ratios = np.array(self.rows)[:, 5:]
+        return list(zip(ratios.min(axis=0).tolist(),
+                        ratios.max(axis=0).tolist()))
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -215,17 +171,15 @@ def symbol_asymptotics_report(r: float, k1_values: Sequence[int],
     """
     if not 0 < r <= 0.5:
         raise ValueError("exponent r must lie in (0, 1/2]")
-    rows = []
-    for k1 in k1_values:
-        if k1 < 1:
-            raise ValueError("k1 values must be >= 1")
-        k2 = max(1, int(round(k1 ** r)))
-        m = m_symbol((k1, k2, 1), phys)
-        rows.append((
-            float(k1), float(k2), abs(m[0]), abs(m[1]), abs(m[2]),
-            abs(m[0]) / k1 ** r, abs(m[1]) / k1, abs(m[2]) / k1 ** (2 * r),
-        ))
-    return AsymptoticsReport(r=r, rows=rows)
+    k1 = np.asarray(k1_values)
+    if np.any(k1 < 1):
+        raise ValueError("k1 values must be >= 1")
+    k2 = np.maximum(1, np.rint(k1 ** r).astype(int))
+    am = np.abs(m_symbol((k1, k2, 1), phys))
+    scale = np.stack([k1 ** r, k1, k1 ** (2 * r)])
+    table = np.column_stack([k1, k2, am.T, (am / scale).T])
+    return AsymptoticsReport(r=r, rows=[tuple(map(float, row))
+                                        for row in table])
 
 
 def symbol_growth_constant(phys: PhysicalParams, n_max: int = 64) -> dict:
@@ -234,35 +188,25 @@ def symbol_growth_constant(phys: PhysicalParams, n_max: int = 64) -> dict:
     Returns the fitted C, and the maximum of |M(k)|/|k| along the curve
     (k1, round(sqrt(k1)), 1), which attains C to within a factor 2.
     """
-    m1, m2, m3 = m_symbol_grids(n_max, phys)
-    k = np.arange(-n_max, n_max + 1)
-    k1, k2, k3 = np.meshgrid(k, k, k, indexing="ij")
-    knorm = np.sqrt((k1 * k1 + k2 * k2 + k3 * k3).astype(float))
-    mag = np.sqrt(m1 * m1 + m2 * m2 + m3 * m3)
+    k1, k2, k3 = _cube(n_max)
+    ksq = k1 * k1 + k2 * k2 + k3 * k3
+    m = m_symbol_grids(n_max, phys)
     with np.errstate(invalid="ignore"):
-        ratio = np.where(knorm > 0, mag / np.where(knorm > 0, knorm, 1.0), 0.0)
+        ratio = np.where(ksq > 0, np.sqrt((m * m).sum(axis=0) / ksq), 0.0)
     c_fit = float(ratio.max())
-    curve = []
-    for kk1 in range(1, n_max + 1):
-        kk2 = max(1, int(round(np.sqrt(kk1))))
-        if kk2 > n_max:
-            break
-        m = m_symbol((kk1, kk2, 1), phys)
-        curve.append(np.linalg.norm(m) / np.sqrt(kk1 ** 2 + kk2 ** 2 + 1))
-    return {"c_fit": c_fit, "curve_max": float(max(curve))}
+    kk1 = np.arange(1, n_max + 1)
+    kk2 = np.maximum(1, np.rint(np.sqrt(kk1)).astype(int))
+    m = m_symbol((kk1, kk2, 1), phys)
+    curve = np.sqrt((m * m).sum(axis=0) / (kk1 * kk1 + kk2 * kk2 + 1))
+    return {"c_fit": c_fit, "curve_max": float(curve.max())}
 
 
 def symbol_table_csv(path, n: int, phys: PhysicalParams) -> None:
     """Dump M on the centered cube |k|_inf <= n as CSV (k1,k2,k3,M1,M2,M3)."""
-    m1, m2, m3 = m_symbol_grids(n, phys)
-    k = np.arange(-n, n + 1)
+    cube = np.broadcast_arrays(*_cube(n))
+    m = m_symbol_grids(n, phys)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["k1", "k2", "k3", "M1", "M2", "M3"])
-        for i, k1 in enumerate(k):
-            for j, k2 in enumerate(k):
-                for l, k3 in enumerate(k):
-                    w.writerow([k1, k2, k3,
-                                f"{m1[i, j, l]:.17g}",
-                                f"{m2[i, j, l]:.17g}",
-                                f"{m3[i, j, l]:.17g}"])
+        for row in zip(*(a.ravel() for a in cube), *(mj.ravel() for mj in m)):
+            w.writerow([*row[:3], *(f"{v:.17g}" for v in row[3:])])

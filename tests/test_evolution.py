@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,20 @@ def test_eigenmode_field_structure():
     assert np.allclose(c, np.conj(c[::-1, ::-1, ::-1]), atol=1e-15)
 
 
+def test_eigenmode_field_stays_in_dealias_band():
+    mode = spectrum.solve_growth_rate(UNIT)
+    n = 8
+    cut = (2 * n + 1) // 3
+    f = ev.eigenmode_field(mode, n)
+    ks = np.argwhere(np.abs(f.coeffs) > 0) - n
+    assert np.abs(ks).max() <= cut
+    assert np.linalg.norm(f.coeffs.ravel()) == pytest.approx(1.0, rel=1e-13)
+    # a horizontal mode outside the band would only be aliased
+    wide = spectrum.solve_growth_rate(ModeParams(k1=30, k2=1))
+    with pytest.raises(ValueError):
+        ev.eigenmode_field(wide, 32)
+
+
 def test_steady_fields():
     base = ev.steady_state_field(8, 2.0, 3)
     assert base[(0, 0, 3)] == -1.0j
@@ -139,6 +155,12 @@ def test_nonlinear_rejects_bad_initial():
     with pytest.raises(ValueError):
         ev.evolve_nonlinear(fields.SpectralField(c2), 0.1, None, 0.01, 0.05,
                             settings=ev.NonlinearSettings(track_tau=False))
+    c3 = np.zeros((9, 9, 9), dtype=complex)
+    c3[5, 4, 5] = 1.0
+    c3[3, 4, 3] = 1.0j  # c(-k) != conj(c(k)): not a real field
+    with pytest.raises(ValueError, match="real"):
+        ev.evolve_nonlinear(fields.SpectralField(c3), 0.1, None, 0.01, 0.05,
+                            settings=ev.NonlinearSettings(track_tau=False))
 
 
 def test_nonlinear_steady_state_fixed():
@@ -150,17 +172,23 @@ def test_nonlinear_steady_state_fixed():
     assert drift <= 1e-15
 
 
-def test_nonlinear_energy_identity_small():
-    rng = np.random.default_rng(2)
-    n = 8
-    c = rng.standard_normal((17, 17, 17)) + 1j * rng.standard_normal((17, 17, 17))
+def _smooth_real_field(n, seed):
+    """Seeded real coefficients, e^{-|k|} decay, inside the dealias band,
+    zero vertical mean."""
+    rng = np.random.default_rng(seed)
+    shape = (2 * n + 1,) * 3
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     k = np.arange(-n, n + 1)
     k1, k2, k3 = np.meshgrid(k, k, k, indexing="ij")
     c *= np.exp(-1.0 * np.sqrt((k1 ** 2 + k2 ** 2 + k3 ** 2).astype(float)))
     c[:, :, n] = 0.0
     cut = (2 * n + 1) // 3
     c *= (np.abs(k1) <= cut) & (np.abs(k2) <= cut) & (np.abs(k3) <= cut)
-    c = 0.5 * (c + np.conj(c[::-1, ::-1, ::-1]))
+    return 0.5 * (c + np.conj(c[::-1, ::-1, ::-1]))
+
+
+def test_nonlinear_energy_identity_small():
+    c = _smooth_real_field(8, 2)
     c *= 0.3 / np.linalg.norm(c.ravel())
     traj = ev.evolve_nonlinear(fields.SpectralField(c), 0.2, None, 0.01, 0.1,
                                settings=ev.NonlinearSettings(track_tau=False))
@@ -198,7 +226,6 @@ def test_nonlinear_tracks_perturbation_and_magnetic():
 
 def test_divergence_error():
     # explicit diffusion with a huge dt blows up immediately
-    import warnings
     n = 8
     c = np.zeros((17, 17, 17), dtype=complex)
     c[9, 8, 9] = 0.5
@@ -210,3 +237,26 @@ def test_divergence_error():
                                 40.0,
                                 settings=ev.NonlinearSettings(
                                     track_tau=False))
+
+
+def test_integrating_factor_rk4_order_and_agreement():
+    c = _smooth_real_field(8, 2)
+    theta = fields.SpectralField(c / np.linalg.norm(c.ravel()))
+
+    def terminal(dt, integrating_factor):
+        settings = ev.NonlinearSettings(
+            track_tau=False, integrating_factor=integrating_factor)
+        return ev.evolve_nonlinear(theta, 0.5, None, dt, 0.4,
+                                   settings=settings).final.coeffs
+
+    # kappa |k|^2 dt reaches 9.6 at dt = 0.1: explicit RK4 would diverge
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        ref = terminal(0.00625, True)
+        err = [np.linalg.norm((terminal(dt, True) - ref).ravel())
+               for dt in (0.1, 0.05, 0.025)]
+    for ratio in (err[0] / err[1], err[1] / err[2]):
+        assert 12.8 <= ratio <= 19.2
+    explicit = terminal(0.00625, False)
+    gap = np.linalg.norm((explicit - ref).ravel())
+    assert gap <= 1e-8 * np.linalg.norm(explicit.ravel())

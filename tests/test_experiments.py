@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -140,6 +141,19 @@ def test_cli_symbol_table(tmp_path, capsys):
     rc = cli.main(["symbol-table", "--n", "1", "--out", str(out)])
     assert rc == 0
     assert out.exists()
+
+
+# sha256 of `mg-spectra symbol-table --n 3` (343 rows at Omega = mu = 1);
+# it pins every digit and every signed zero of M on that cube
+SYMBOL_TABLE_N3_SHA256 = \
+    "2078093f5f9fe5eed27e832b405a8fc9abbdf974c133770236680ecddb86b273"
+
+
+def test_cli_symbol_table_frozen(tmp_path, capsys):
+    out = tmp_path / "sym.csv"
+    assert cli.main(["symbol-table", "--n", "3", "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == SYMBOL_TABLE_N3_SHA256
 
 
 def test_cli_plot_data_unmapped(tmp_path, capsys):

@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mg_spectra.params import PhysicalParams
 from mg_spectra import symbols
-from mg_spectra.fields import SpectralField
 
 UNIT = PhysicalParams()
 
@@ -83,32 +83,29 @@ def test_grids_match_pointwise():
                 idx = (k1 + n, k2 + n, k3 + n)
                 m = symbols.m_symbol((k1, k2, k3), UNIT)
                 b = symbols.b_symbol((k1, k2, k3), UNIT)
-                assert np.allclose([m1[idx], m2[idx], m3[idx]], m, atol=1e-15)
-                assert np.allclose([b1[idx], b2[idx], b3[idx]], b, atol=1e-15)
+                assert np.array_equal([m1[idx], m2[idx], m3[idx]], m)
+                assert np.array_equal([b1[idx], b2[idx], b3[idx]], b)
+
+
+def test_symbol_shapes():
+    n = 2
+    assert symbols.m_symbol_grids(n, UNIT).shape == (3, 5, 5, 5)
+    assert symbols.b_symbol_grids(n, UNIT).shape == (3, 5, 5, 5)
+    k1 = np.arange(4)[:, None]
+    k2 = np.arange(1, 6)[None, :]
+    assert symbols.m_symbol((k1, k2, 2), UNIT).shape == (3, 4, 5)
+    assert symbols.b_symbol((k1, k2, 2), UNIT).shape == (3, 4, 5)
+    assert symbols.t_symbol((k1, k2, 2), UNIT).shape == (3, 3, 4, 5)
+    assert symbols.t_symbol((1, 2, 3), UNIT).shape == (3, 3)
+    # T and b vanish at k = 0 instead of dividing by |k|^2 = 0
+    assert np.all(symbols.t_symbol((0, 0, 0), UNIT) == 0.0)
+    assert np.all(symbols.b_symbol((0, 0, 0), UNIT) == 0.0)
 
 
 def test_grids_even_symmetry():
     m1, m2, m3 = symbols.m_symbol_grids(4, UNIT)
     for g in (m1, m2, m3):
         assert np.array_equal(g, g[::-1, ::-1, ::-1])
-
-
-def test_apply_multiplier_scalar_and_vector():
-    f = SpectralField.from_modes(2, {(1, 0, 1): 1.0 + 0j, (-1, 0, -1): 1.0})
-    doubled = symbols.apply_multiplier(f, lambda k: 2.0)
-    assert np.allclose(doubled.coeffs, 2.0 * f.coeffs)
-    u = symbols.apply_multiplier(f, lambda k: symbols.m_symbol(k, UNIT))
-    assert len(u) == 3
-    m = symbols.m_symbol((1, 0, 1), UNIT)
-    n = f.n
-    assert u[0][(1, 0, 1)] == pytest.approx(m[0])
-    assert u[2][(-1, 0, -1)] == pytest.approx(m[2])
-
-
-def test_apply_multiplier_rejects_nonfinite():
-    f = SpectralField.from_modes(1, {(1, 0, 1): 1.0})
-    with pytest.raises(symbols.SymbolError):
-        symbols.apply_multiplier(f, lambda k: float("inf"))
 
 
 def test_asymptotics_report():
@@ -119,6 +116,9 @@ def test_asymptotics_report():
     for lo, hi in bounds:
         assert lo > 0
         assert hi / lo < 10.0
+    for row in rep.rows:
+        m = symbols.m_symbol((int(row[0]), int(row[1]), 1), UNIT)
+        assert list(row[2:5]) == list(np.abs(m))
     # |M2| itself is unbounded along the curve
     m2 = [row[3] for row in rep.rows]
     assert m2[-1] > 10.0 * m2[0]
@@ -135,3 +135,39 @@ def test_symbol_table_csv(tmp_path):
     lines = open(path).read().strip().splitlines()
     assert lines[0] == "k1,k2,k3,M1,M2,M3"
     assert len(lines) == 1 + 5 ** 3
+
+
+_K = st.integers(min_value=-40, max_value=40)
+_RATIONAL = st.fractions(min_value=Fraction(1, 8), max_value=8,
+                         max_denominator=16)
+
+
+@settings(deadline=None, max_examples=100)
+@given(k=st.lists(st.tuples(_K, _K, _K), min_size=1, max_size=8),
+       omega=_RATIONAL, mu=_RATIONAL)
+def test_symbol_properties(k, omega, mu):
+    phys = PhysicalParams(omega=float(omega), eta=1.0 / float(mu))
+    ks = np.array(k).T
+    m = symbols.m_symbol(tuple(ks), phys)
+    t = symbols.t_symbol(tuple(ks), phys)
+    b = symbols.b_symbol(tuple(ks), phys)
+    neg = symbols.m_symbol(tuple(-ks), phys)
+    assert np.array_equal(neg, m)
+    for i, kv in enumerate(k):
+        assert symbols.divergence_exact(kv, omega, mu) == 0
+        # a batched call equals the pointwise calls exactly
+        assert np.array_equal(symbols.m_symbol(kv, phys), m[:, i])
+        assert np.array_equal(symbols.t_symbol(kv, phys), t[:, :, i])
+        assert np.array_equal(symbols.b_symbol(kv, phys), b[:, i])
+        if kv[2] == 0:
+            assert np.all(m[:, i] == 0.0)
+            continue
+        # relative to |M|: M1 and M2 subtract nearly equal terms
+        exact = np.array([float(v) for v in
+                          symbols.m_symbol_exact(kv, phys.omega, phys.mu)])
+        scale = np.abs(exact).max()
+        assert np.abs(m[:, i] - exact).max() <= 1e-15 * scale
+        # M_j = i k_i T_ij
+        link = np.einsum("i,ij->j", 1j * np.array(kv, dtype=float),
+                         t[:, :, i])
+        assert np.abs(link - m[:, i]).max() <= 1e-15 * scale
