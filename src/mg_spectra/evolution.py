@@ -11,7 +11,9 @@
 
 Conventions: Theta(x) = sum_k c(k) exp(i k.x) on the centered cube
 |k|_inf <= N; collocation grid (2N+2)^3; norms are coefficient-l2.  All
-integrators are classical RK4 with fixed step.
+three integrators take fixed steps of one classical RK4 step, `_rk4_step`,
+explicit or with the integrating factor; the two slice systems share one
+trajectory loop, `_slice_trajectory`.
 """
 
 from __future__ import annotations
@@ -38,6 +40,26 @@ class DivergenceError(RuntimeError):
     def __init__(self, step: int):
         super().__init__("non-finite state at step %d" % step)
         self.step = step
+
+
+def _rk4_step(rhs, y, dt: float, k1, e=None):
+    """One classical RK4 step from y, given the first slope k1 = rhs(y).
+
+    e = None is the explicit step.  An array e = exp(-kappa |k|^2 dt/2)
+    makes it the integrating-factor step: RK4 on exp(kappa |k|^2 t) y, with
+    rhs leaving out the diffusion that the factors apply exactly.
+    """
+    h = 0.5 * dt
+    if e is None:
+        k2 = rhs(y + h * k1)
+        k3 = rhs(y + h * k2)
+        k4 = rhs(y + dt * k3)
+        return y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    ey = e * y
+    k2 = rhs(e * (y + h * k1))
+    k3 = rhs(ey + h * k2)
+    k4 = rhs(e * (ey + dt * k3))
+    return e * (e * (y + dt / 6.0 * k1) + dt / 3.0 * (k2 + k3)) + dt / 6.0 * k4
 
 
 # ---------------------------------------------------------------------------
@@ -95,51 +117,56 @@ def _slice_row_sum(state: SliceState) -> float:
     return float(row.max())
 
 
+def _slice_trajectory(rhs, y0: np.ndarray, t0: float, dt: float,
+                      t_end: float, row_sum: float, snapshot_stride: int = 0):
+    """Explicit RK4 run of a linear slice system: (times, norms, snapshots).
+
+    Requires dt <= 0.1 / row_sum, the generator's largest absolute row sum.
+    Records the l2 norm at every step and the state at the given stride
+    (0 disables); a non-finite state raises DivergenceError.
+    """
+    if dt <= 0 or t_end <= 0:
+        raise ValueError("dt and t_end must be positive")
+    limit = 0.1 / max(row_sum, 1e-300)
+    if dt > limit:
+        raise ValueError("dt = %g exceeds the stability margin %g" % (dt, limit))
+    y = y0.copy()
+    times = [t0]
+    norms = [float(np.linalg.norm(y))]
+    snaps = [y] if snapshot_stride else []
+    for i in range(int(round(t_end / dt))):
+        y = _rk4_step(rhs, y, dt, rhs(y))
+        if not np.all(np.isfinite(y)):
+            raise DivergenceError(i + 1)
+        times.append(t0 + (i + 1) * dt)
+        norms.append(float(np.linalg.norm(y)))
+        if snapshot_stride and (i + 1) % snapshot_stride == 0:
+            snaps.append(y)
+    return np.asarray(times), np.asarray(norms), snaps
+
+
 @dataclass(frozen=True)
 class SliceTrajectory:
     t: np.ndarray
     norm: np.ndarray
-    states: list
 
 
-def evolve_slice(state: SliceState, dt: float, t_end: float,
-                 snapshot_stride: int = 0) -> SliceTrajectory:
+def evolve_slice(state: SliceState, dt: float,
+                 t_end: float) -> SliceTrajectory:
     """RK4 trajectory of the restricted slice system.
 
-    Records the l2 norm of c at every step; snapshots of the coefficient
-    vector at the given stride (0 disables).  Requires
+    Records the l2 norm of c at every step.  Requires
     dt <= 0.1 / max row sum of the generator.
     """
-    if dt <= 0 or t_end <= 0:
-        raise ValueError("dt and t_end must be positive")
-    limit = 0.1 / _slice_row_sum(state)
-    if dt > limit:
-        raise ValueError("dt = %g exceeds the stability margin %g" % (dt, limit))
     shell = SliceState(mp=state.mp, c=state.c, kappa=state.kappa)
 
     def rhs(c):
         shell.c = c
         return slice_rhs(shell)
 
-    n_steps = int(round(t_end / dt))
-    c = state.c.copy()
-    times = [state.t]
-    norms = [float(np.linalg.norm(c))]
-    snaps = [c.copy()] if snapshot_stride else []
-    for i in range(n_steps):
-        k1 = rhs(c)
-        k2 = rhs(c + 0.5 * dt * k1)
-        k3 = rhs(c + 0.5 * dt * k2)
-        k4 = rhs(c + dt * k3)
-        c = c + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(c)):
-            raise DivergenceError(i + 1)
-        times.append(state.t + (i + 1) * dt)
-        norms.append(float(np.linalg.norm(c)))
-        if snapshot_stride and (i + 1) % snapshot_stride == 0:
-            snaps.append(c.copy())
-    return SliceTrajectory(t=np.asarray(times), norm=np.asarray(norms),
-                           states=snaps)
+    t, norm, _ = _slice_trajectory(rhs, state.c, state.t, dt, t_end,
+                                   _slice_row_sum(state))
+    return SliceTrajectory(t=t, norm=norm)
 
 
 # ---------------------------------------------------------------------------
@@ -252,38 +279,18 @@ def evolve_full_slice(state: FullSliceState, steady: dict, dt: float,
     Tracks the slice l2 norm and reports the Gronwall rate bound
     2 * gronwall_constant (for d/dt of the squared norm) alongside it.
     """
-    if dt <= 0 or t_end <= 0:
-        raise ValueError("dt and t_end must be positive")
-    limit = 0.1 / max(_full_slice_row_sum(state, steady), 1e-300)
-    if dt > limit:
-        raise ValueError("dt = %g exceeds the stability margin %g" % (dt, limit))
     shell = FullSliceState(mp=state.mp, theta=state.theta, kappa=state.kappa)
 
     def rhs(th):
         shell.theta = th
         return full_slice_rhs(shell, steady)
 
-    n_steps = int(round(t_end / dt))
-    th = state.theta.copy()
-    times = [state.t]
-    norms = [float(np.linalg.norm(th))]
-    snaps = [th.copy()] if snapshot_stride else []
-    for i in range(n_steps):
-        k1 = rhs(th)
-        k2 = rhs(th + 0.5 * dt * k1)
-        k3 = rhs(th + 0.5 * dt * k2)
-        k4 = rhs(th + dt * k3)
-        th = th + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(th)):
-            raise DivergenceError(i + 1)
-        times.append(state.t + (i + 1) * dt)
-        norms.append(float(np.linalg.norm(th)))
-        if snapshot_stride and (i + 1) % snapshot_stride == 0:
-            snaps.append(th.copy())
+    t, norm, snaps = _slice_trajectory(
+        rhs, state.theta, state.t, dt, t_end,
+        _full_slice_row_sum(state, steady), snapshot_stride)
     # diffusion only lowers the growth rate, so the kappa = 0 bound stands
     bound = 2.0 * gronwall_constant(state.mp, steady)
-    return FullSliceTrajectory(t=np.asarray(times), norm=np.asarray(norms),
-                               states=snaps, rate_bound=bound)
+    return FullSliceTrajectory(t=t, norm=norm, states=snaps, rate_bound=bound)
 
 
 def embed_restricted(state: SliceState, half: int = None) -> FullSliceState:
@@ -406,12 +413,11 @@ class NonlinearSettings:
 
     integrating_factor switches the kappa Lap term from explicit RK4 to an
     exact exponential factor.  The analytic-window guard applies only to
-    kappa = 0 runs: the horizon must stay below tau0/(2 c_r K0), with tau0
-    and K0 derived from the initial data (radius_estimate and the Gevrey
-    norm) unless given here explicitly; tau_floor is the minimum acceptable
-    estimated radius.  reference subtracts a fixed field before computing
-    perturbation diagnostics; track_magnetic adds the induced magnetic
-    perturbation norm.
+    kappa = 0 runs: the horizon must stay below tau0/(2 K0), with tau0 and
+    K0 derived from the initial data (radius_estimate and the Gevrey norm
+    with exponent r); an estimated radius below 0.02 is refused.
+    reference subtracts a fixed field before computing perturbation
+    diagnostics; track_magnetic adds the induced magnetic perturbation norm.
     """
 
     integrating_factor: bool = False
@@ -419,10 +425,6 @@ class NonlinearSettings:
     snapshot_stride: int = 0
     track_tau: bool = True
     analytic_guard: bool = True
-    tau_floor: float = 0.02
-    tau0: float = None
-    k0: float = None
-    c_r: float = 1.0
     r: float = 3.0
     reference: SpectralField = None
     track_magnetic: bool = False
@@ -443,16 +445,9 @@ class NonlinearTrajectory:
     cfl_warned: bool
     max_velocity: float
 
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("t,l2_norm,linf_norm,energy_residual,tau_estimate\n")
-            for row in zip(self.t, self.l2, self.linf, self.energy_residual,
-                           self.tau_estimate):
-                fh.write("%.17g,%.17g,%.17g,%.17g,%.17g\n" % row)
-
 
 class NonlinearSolver:
-    """Pseudo-spectral right-hand side and RK4 stepper on the centered cube.
+    """Pseudo-spectral right-hand side on the centered cube.
 
     Velocity components come from the exact multiplier arrays; the
     advection product is formed on the (2N+2)^3 collocation grid with the
@@ -461,14 +456,12 @@ class NonlinearSolver:
     """
 
     def __init__(self, n: int, phys: PhysicalParams = None, kappa: float = 0.0,
-                 source: SpectralField = None, workers: int = 1,
-                 integrating_factor: bool = False):
+                 source: SpectralField = None, workers: int = 1):
         if phys is None:
             phys = PhysicalParams()
         self.n = n
         self.side = 2 * n + 2
         self.kappa = float(kappa)
-        self.integrating_factor = bool(integrating_factor) and kappa > 0
         self.workers = workers
         self.msym = m_symbol_grids(n, phys)
         k = np.arange(-n, n + 1)
@@ -532,35 +525,6 @@ class NonlinearSolver:
         return {"grad_sq": grad_sq, "adv_inner": adv_inner,
                 "energy_residual": res}
 
-    def stage_one(self, c: np.ndarray):
-        """First RK stage (reusable for diagnostics): (k1, adv, max |U|)."""
-        return self.rhs(c, include_diffusion=not self.integrating_factor)
-
-    def step(self, c: np.ndarray, dt: float):
-        """One RK4 step; returns (new c, max |U| over the first stage)."""
-        k1, _, max_u = self.stage_one(c)
-        return self.finish_step(c, k1, dt), max_u
-
-    def finish_step(self, c: np.ndarray, k1: np.ndarray, dt: float):
-        """Stages two to four given the first-stage slope k1."""
-        if self.integrating_factor:
-            # RK4 on the variable exp(kappa |k|^2 t) c: diffusion handled
-            # exactly by the exponential factors
-            e_half = np.exp(-self.kappa * self.ksq * (0.5 * dt))
-            e_full = e_half * e_half
-            k2, _, _ = self.rhs(e_half * (c + 0.5 * dt * k1),
-                                include_diffusion=False)
-            k3, _, _ = self.rhs(e_half * c + 0.5 * dt * k2,
-                                include_diffusion=False)
-            k4, _, _ = self.rhs(e_full * c + dt * e_half * k3,
-                                include_diffusion=False)
-            return e_full * c + dt / 6.0 * (e_full * k1
-                                            + 2.0 * e_half * (k2 + k3) + k4)
-        k2, _, _ = self.rhs(c + 0.5 * dt * k1)
-        k3, _, _ = self.rhs(c + 0.5 * dt * k2)
-        k4, _, _ = self.rhs(c + dt * k3)
-        return c + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
 
 def _validate_initial(theta0: SpectralField) -> None:
     c = theta0.coeffs
@@ -575,28 +539,27 @@ def _validate_initial(theta0: SpectralField) -> None:
         raise ValueError("initial data must be real: c(-k) = conj(c(k))")
 
 
-def _window_parameters(theta0: SpectralField, settings: NonlinearSettings):
-    """(tau0, K0) for the analytic-window estimate, derived when not given."""
-    tau0 = settings.tau0
-    if tau0 is None:
-        est = radius_estimate(theta0)
-        if est.entire:
-            mag2 = np.abs(theta0.coeffs) ** 2
-            total = float(np.sum(mag2))
-            centroid = float(np.sum(theta0.wavenumbers() * mag2) / total)
-            tau0 = 1.0 / max(centroid, 1.0)
-        else:
-            if est.radius < settings.tau_floor:
-                raise ValueError(
-                    "estimated analyticity radius %.3g below the configured "
-                    "floor %.3g" % (est.radius, settings.tau_floor))
-            tau0 = est.radius
+# smallest estimated analyticity radius an analytic window is built from
+_TAU_FLOOR = 0.02
+
+
+def _window_parameters(theta0: SpectralField, r: float):
+    """(tau0, K0) for the analytic-window estimate of the initial data."""
+    est = radius_estimate(theta0)
+    if est.entire:
+        mag2 = np.abs(theta0.coeffs) ** 2
+        total = float(np.sum(mag2))
+        centroid = float(np.sum(theta0.wavenumbers() * mag2) / total)
+        tau0 = 1.0 / max(centroid, 1.0)
+    else:
+        if est.radius < _TAU_FLOOR:
+            raise ValueError(
+                "estimated analyticity radius %.3g below the floor %.3g"
+                % (est.radius, _TAU_FLOOR))
+        tau0 = est.radius
     kmax = theta0.n * math.sqrt(3.0)
     tau0 = min(tau0, 300.0 / max(kmax, 1.0))
-    k0 = settings.k0
-    if k0 is None:
-        k0 = gevrey_norm(theta0, tau0, settings.r)
-    return tau0, k0
+    return tau0, gevrey_norm(theta0, tau0, r)
 
 
 def evolve_nonlinear(theta0: SpectralField, kappa: float,
@@ -607,7 +570,7 @@ def evolve_nonlinear(theta0: SpectralField, kappa: float,
 
     theta0 must be real (Hermitian coefficients), mean-zero and with zero
     vertical mean.  For kappa = 0 the run is held inside the analytic
-    window tau0/(2 c_r K0); horizons beyond it are refused (local analytic
+    window tau0/(2 K0); horizons beyond it are refused (local analytic
     theory gives no meaning to the output).
     A CFL heuristic (max |U| dt N > 0.5) warns once per run.  Snapshots,
     perturbation norms against a reference field, and the induced magnetic
@@ -623,27 +586,32 @@ def evolve_nonlinear(theta0: SpectralField, kappa: float,
 
     tracker = None
     if kappa == 0.0 and settings.analytic_guard:
-        tau0, k0 = _window_parameters(theta0, settings)
+        tau0, k0 = _window_parameters(theta0, settings.r)
         if k0 > 0:
-            t_star = tau0 / (2.0 * settings.c_r * k0)
+            t_star = tau0 / (2.0 * k0)
             if t_end > t_star:
                 raise ValueError(
                     "horizon %.4g exceeds the analytic window %.4g "
-                    "(tau0 = %.4g, K0 = %.4g, c_r = %g)"
-                    % (t_end, t_star, tau0, k0, settings.c_r))
+                    "(tau0 = %.4g, K0 = %.4g)" % (t_end, t_star, tau0, k0))
         tracker = GevreyTracker(tau0=tau0, k0=k0, r=settings.r,
-                                c_r=settings.c_r, max_gap=2.0 * dt)
+                                max_gap=2.0 * dt)
     elif settings.track_tau:
         try:
-            tau0, k0 = _window_parameters(theta0, settings)
+            tau0, k0 = _window_parameters(theta0, settings.r)
             tracker = GevreyTracker(tau0=tau0, k0=k0, r=settings.r,
-                                    c_r=settings.c_r, max_gap=2.0 * dt)
+                                    max_gap=2.0 * dt)
         except (ValueError, InsufficientShellsError):
             tracker = None
 
     solver = NonlinearSolver(theta0.n, phys=phys, kappa=kappa, source=source,
-                             workers=settings.workers,
-                             integrating_factor=settings.integrating_factor)
+                             workers=settings.workers)
+    # the integrating factor takes the diffusion out of the right-hand side
+    e = None
+    if settings.integrating_factor and kappa > 0:
+        e = np.exp(-solver.kappa * solver.ksq * (0.5 * dt))
+
+    def rhs(y):
+        return solver.rhs(y, include_diffusion=e is None)[0]
 
     b_sym = b_symbol_grids(theta0.n, phys) if settings.track_magnetic else None
     ref = settings.reference.coeffs if settings.reference is not None else None
@@ -683,7 +651,7 @@ def evolve_nonlinear(theta0: SpectralField, kappa: float,
     max_velocity = 0.0
     for i in range(n_steps + 1):
         # stage one doubles as the diagnostic evaluation at the current state
-        k1, adv, max_u = solver.stage_one(c)
+        k1, adv, max_u = solver.rhs(c, include_diffusion=e is None)
         times.append(i * dt)
         rows.append(record(c, adv, i * dt))
         max_velocity = max(max_velocity, max_u)
@@ -696,7 +664,7 @@ def evolve_nonlinear(theta0: SpectralField, kappa: float,
             snaps.append((i * dt, SpectralField(c.copy())))
         if i == n_steps:
             break
-        c = solver.finish_step(c, k1, dt)
+        c = _rk4_step(rhs, c, dt, k1, e)
         if not np.all(np.isfinite(c)):
             raise DivergenceError(i + 1)
     cols = list(zip(*rows))
@@ -735,7 +703,7 @@ def _resolution_for(j: int, m: int) -> int:
 def lipschitz_blowup_experiment(j_list, eps: float, t_probe: float,
                                 phys: PhysicalParams = None, a: float = 1.0,
                                 m: int = 1, dt: float = 0.02,
-                                c_r: float = 1.0, workers: int = 1) -> list:
+                                workers: int = 1) -> list:
     """Growth ratios ||Theta(t_probe) - Theta0|| / eps over j = k1 = k2^2.
 
     Each j gets a non-diffusive nonlinear run from Theta0 + eps times the
@@ -761,7 +729,7 @@ def lipschitz_blowup_experiment(j_list, eps: float, t_probe: float,
         k_base = math.sqrt(j * j + j + m * m)
         tau0 = 1.0 / k_base
         k0 = gevrey_norm(psi, tau0, 3.0) * eps
-        t_star = tau0 / (2.0 * c_r * k0)
+        t_star = tau0 / (2.0 * k0)
         if t_probe > t_star:
             raise ValueError(
                 "j = %d: probe time %.3g outside the analytic window %.3g"

@@ -566,10 +566,8 @@ def _run_gevrey_breakdown(params, tols, out_dir, threads):
                                     params["amplitude"],
                                     seed=params["seed"])
     n_steps = int(round(params["t_end"] / params["dt"]))
-    settings = evolution.NonlinearSettings(r=params["r"], c_r=1.0,
-                                           track_tau=True,
-                                           snapshot_stride=max(
-                                               1, n_steps // 4))
+    settings = evolution.NonlinearSettings(
+        r=params["r"], track_tau=True, snapshot_stride=max(1, n_steps // 4))
     traj = evolution.evolve_nonlinear(theta0, 0.0, None, params["dt"],
                                       params["t_end"], settings=settings)
     tracker = traj.tracker

@@ -152,14 +152,6 @@ class AsymptoticsReport:
         return list(zip(ratios.min(axis=0).tolist(),
                         ratios.max(axis=0).tolist()))
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["k1", "k2", "absM1", "absM2", "absM3",
-                        "ratio1", "ratio2", "ratio3"])
-            for row in self.rows:
-                w.writerow([f"{v:.17g}" for v in row])
-
 
 def symbol_asymptotics_report(r: float, k1_values: Sequence[int],
                               phys: PhysicalParams) -> AsymptoticsReport:

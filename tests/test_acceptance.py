@@ -3,17 +3,20 @@
 Each test prints a single pass/fail line (bypassing capture) and asserts
 the stated tolerance.  Budgets are wall-clock seconds on one desk-scale
 core; each check also asserts its own runtime stays inside the budget.
+Criteria 04 and 08-10 run the shipped experiment on its default config;
+08 and 09 share one nonlinear-energy run and hold its wall time to each
+of their budgets.
 """
 
+import json
 import time
-import warnings
 
 import numpy as np
 import pytest
 
 from mg_spectra.params import ModeParams, PhysicalParams
 from mg_spectra import evolution as ev
-from mg_spectra import fields, spectrum, symbols
+from mg_spectra import experiments, fields, spectrum, symbols
 
 UNIT = ModeParams()
 
@@ -22,6 +25,21 @@ def _report(capsys, num, ok, name, detail):
     with capsys.disabled():
         print("criterion %02d %s  %s (%s)"
               % (num, "PASS" if ok else "FAIL", name, detail))
+
+
+def _run(name, out_dir):
+    """The shipped experiment on its default config: (result, wall time)."""
+    result = experiments.run_experiment(name, None, str(out_dir))
+    with open(out_dir / "summary.json") as fh:
+        return result, json.load(fh)["wall_time_s"]
+
+
+def _rows(result, key):
+    return {row[key]: row for row in result.rows}
+
+
+def _measured(result):
+    return {check["name"]: check["measured"] for check in result.checks}
 
 
 def test_criterion_01_symbol_identities(capsys):
@@ -122,19 +140,11 @@ def test_criterion_03_oracle_equivalence(capsys):
     assert ok
 
 
-def test_criterion_04_eigen_growth(capsys):
+def test_criterion_04_eigen_growth(capsys, tmp_path):
     start = time.monotonic()
-    mode = spectrum.solve_growth_rate(UNIT)
-    sigma = mode.sigma
-    st = ev.SliceState(mp=UNIT, c=mode.c_tilde.copy())
-    traj = ev.evolve_slice(st, 0.05, 3.0 / sigma)
-    fit = ev.measure_growth_rate(traj.t, traj.norm, (0.0, 3.0 / sigma))
-    rel_eigen = abs(fit.rate - sigma) / sigma
-    generic = ev.SliceState(mp=UNIT, c=np.ones(128))
-    traj_g = ev.evolve_slice(generic, 0.05, 8.0 / sigma)
-    fit_g = ev.measure_growth_rate(traj_g.t, traj_g.norm,
-                                   (5.0 / sigma, 8.0 / sigma))
-    rel_generic = abs(fit_g.rate - sigma) / sigma
+    rows = _rows(_run("slice-growth", tmp_path)[0], "case")
+    rel_eigen = rows["eigenvector"]["rel_err"]
+    rel_generic = rows["generic"]["rel_err"]
     elapsed = time.monotonic() - start
     ok = rel_eigen <= 1e-3 and rel_generic <= 1e-2 and elapsed < 10.0
     _report(capsys, 4, ok, "eigen-growth reproduction",
@@ -209,51 +219,20 @@ def test_criterion_07_gevrey_radius(capsys):
     assert ok
 
 
-def _band_limited_random(n, decay, seed, scale):
-    rng = np.random.default_rng(seed)
-    shape = (2 * n + 1,) * 3
-    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    k = np.arange(-n, n + 1)
-    k1, k2, k3 = np.meshgrid(k, k, k, indexing="ij")
-    kn = np.sqrt((k1 ** 2 + k2 ** 2 + k3 ** 2).astype(float))
-    c *= np.exp(-decay * kn)
-    c[:, :, n] = 0.0
-    cut = (2 * n + 1) // 3
-    c *= (np.abs(k1) <= cut) & (np.abs(k2) <= cut) & (np.abs(k3) <= cut)
-    c = 0.5 * (c + np.conj(c[::-1, ::-1, ::-1]))
-    return fields.SpectralField(c * (scale / np.linalg.norm(c.ravel())))
+@pytest.fixture(scope="module")
+def nonlinear_energy(tmp_path_factory):
+    """One nonlinear-energy run serves criteria 08 and 09."""
+    return _run("nonlinear-energy", tmp_path_factory.mktemp("nonlinear"))
 
 
-def test_criterion_08_nonlinear_invariants(capsys):
-    start = time.monotonic()
-    n = 32
-    theta0 = _band_limited_random(n, 0.6, 7, 0.5)
-    quiet = ev.NonlinearSettings(track_tau=False)
-    traj = ev.evolve_nonlinear(theta0, 0.1, None, 0.01, 0.2, settings=quiet)
-    energy = float(np.max(traj.energy_residual))
-
-    base = ev.steady_state_field(n, 1.0, 1)
-    src = ev.steady_source_field(n, 1.0, 1, 0.1)
-    traj_s = ev.evolve_nonlinear(base, 0.1, src, 0.02, 1.0, settings=quiet)
-    drift = float(np.linalg.norm(
-        (traj_s.final.coeffs - base.coeffs).ravel())
-        / np.linalg.norm(base.coeffs.ravel()))
-
-    smooth = _band_limited_random(12, 1.0, 8, 1.0)
-    terminal = {}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for dt in (0.1, 0.05, 0.025, 0.00625):
-            tr = ev.evolve_nonlinear(smooth, 0.02, None, dt, 0.4,
-                                     settings=ev.NonlinearSettings(
-                                         track_tau=False))
-            terminal[dt] = tr.final.coeffs
-    err = {dt: np.linalg.norm((terminal[dt] - terminal[0.00625]).ravel())
-           for dt in (0.1, 0.05, 0.025)}
-    r1 = err[0.1] / err[0.05]
-    r2 = err[0.05] / err[0.025]
+def test_criterion_08_nonlinear_invariants(capsys, nonlinear_energy):
+    result, elapsed = nonlinear_energy
+    rows = _rows(result, "case")
+    energy = rows["energy_identity"]["measured"]
+    drift = rows["steady_state_drift"]["measured"]
+    r1 = rows["rk4_ratio_coarse"]["measured"]
+    r2 = rows["rk4_ratio_fine"]["measured"]
     order_ok = 12.8 <= r1 <= 19.2 and 12.8 <= r2 <= 19.2
-    elapsed = time.monotonic() - start
     ok = (energy <= 1e-8 and drift <= 1e-10 and order_ok
           and elapsed < 120.0)
     _report(capsys, 8, ok, "nonlinear solver invariants",
@@ -262,27 +241,12 @@ def test_criterion_08_nonlinear_invariants(capsys):
     assert ok
 
 
-def test_criterion_09_linearization_consistency(capsys):
-    start = time.monotonic()
-    kap = 1e-2
-    mp = ModeParams(a=4.0, m=1, k1=12, k2=7)
-    mode = spectrum.solve_growth_rate_diffusive(mp, kap)
-    n = 32
-    base = ev.steady_state_field(n, 4.0, 1)
-    src = ev.steady_source_field(n, 4.0, 1, kap)
-    psi = ev.eigenmode_field(mode, n)
-    init = fields.SpectralField(base.coeffs + 1e-6 * psi.coeffs)
-    settings = ev.NonlinearSettings(track_tau=False, reference=base,
-                                    track_magnetic=True)
-    t_end = 1.5
-    traj = ev.evolve_nonlinear(init, kap, src, 0.01, t_end,
-                               settings=settings)
-    fit_t = ev.measure_growth_rate(traj.t, traj.pert_l2, (0.0, t_end))
-    fit_b = ev.measure_growth_rate(traj.t, traj.magnetic_l2, (0.0, t_end))
-    rel_t = abs(fit_t.rate - mode.sigma) / mode.sigma
-    rel_b = abs(fit_b.rate - fit_t.rate) / fit_t.rate
-    ceiling = float(np.max(traj.pert_l2))
-    elapsed = time.monotonic() - start
+def test_criterion_09_linearization_consistency(capsys, nonlinear_energy):
+    result, elapsed = nonlinear_energy
+    measured = _measured(result)
+    rel_t = measured["linearized_rate"]
+    rel_b = measured["magnetic_rate"]
+    ceiling = measured["perturbation_stays_linear"]
     ok = (rel_t <= 2e-2 and rel_b <= 2e-2 and ceiling < 1e-3
           and elapsed < 180.0)
     _report(capsys, 9, ok, "linearization consistency",
@@ -291,12 +255,12 @@ def test_criterion_09_linearization_consistency(capsys):
     assert ok
 
 
-def test_criterion_10_lipschitz_blowup(capsys):
+def test_criterion_10_lipschitz_blowup(capsys, tmp_path):
     start = time.monotonic()
-    table = ev.lipschitz_blowup_experiment([1, 4, 9, 16], 1e-6, 2.0, dt=0.02)
-    ratios = [row.ratio_nonlinear for row in table]
+    table = _run("lipschitz-blowup", tmp_path)[0].rows
+    ratios = [row["ratio_nonlinear"] for row in table]
     increasing = all(b > a for a, b in zip(ratios, ratios[1:]))
-    worst = max(row.gap_vs_closed for row in table)
+    worst = max(row["gap_vs_closed"] for row in table)
     elapsed = time.monotonic() - start
     ok = increasing and worst <= 5e-2 and elapsed < 300.0
     _report(capsys, 10, ok, "Lipschitz blowup",

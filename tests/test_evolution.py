@@ -243,20 +243,54 @@ def test_integrating_factor_rk4_order_and_agreement():
     c = _smooth_real_field(8, 2)
     theta = fields.SpectralField(c / np.linalg.norm(c.ravel()))
 
-    def terminal(dt, integrating_factor):
+    def terminal(theta, dt, integrating_factor):
         settings = ev.NonlinearSettings(
             track_tau=False, integrating_factor=integrating_factor)
         return ev.evolve_nonlinear(theta, 0.5, None, dt, 0.4,
                                    settings=settings).final.coeffs
 
+    # one real mode pair k = +-(1, 2, 1): k.M(k) = 0 removes the advection,
+    # so the factor alone gives the exact decay exp(-kappa |k|^2 t)
+    pair = np.zeros_like(c)
+    pair[9, 10, 9] = pair[7, 6, 7] = 0.5
     # kappa |k|^2 dt reaches 9.6 at dt = 0.1: explicit RK4 would diverge
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        ref = terminal(0.00625, True)
-        err = [np.linalg.norm((terminal(dt, True) - ref).ravel())
+        ref = terminal(theta, 0.00625, True)
+        err = [np.linalg.norm((terminal(theta, dt, True) - ref).ravel())
                for dt in (0.1, 0.05, 0.025)]
+        decayed = terminal(fields.SpectralField(pair), 0.1, True)
     for ratio in (err[0] / err[1], err[1] / err[2]):
         assert 12.8 <= ratio <= 19.2
-    explicit = terminal(0.00625, False)
+    explicit = terminal(theta, 0.00625, False)
     gap = np.linalg.norm((explicit - ref).ravel())
     assert gap <= 1e-8 * np.linalg.norm(explicit.ravel())
+    exact = pair * np.exp(-0.5 * 6.0 * 0.4)
+    assert np.linalg.norm((decayed - exact).ravel()) \
+        <= 1e-14 * np.linalg.norm(exact.ravel())
+
+
+def test_rk4_step_is_the_textbook_formula():
+    a = np.array([[-0.3, 1.2, 0.0], [-0.7, 0.1, 0.4], [0.2, -0.5, -0.9]])
+
+    def rhs(y):
+        return a @ y
+
+    y = np.array([1.0, -2.0, 0.5])
+    dt = 0.1
+    k1 = rhs(y)
+    k2 = rhs(y + 0.5 * dt * k1)
+    k3 = rhs(y + 0.5 * dt * k2)
+    k4 = rhs(y + dt * k3)
+    textbook = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    assert np.array_equal(ev._rk4_step(rhs, y, dt, k1), textbook)
+    # integrating factor: RK4 on exp(D t) y with D = diag(d) taken out of
+    # the right-hand side (Lawson's scheme), written out stage by stage
+    d = np.array([0.5, 2.0, 4.0])
+    e = np.exp(-d * 0.5 * dt)
+    k2 = rhs(e * (y + 0.5 * dt * k1))
+    k3 = rhs(e * y + 0.5 * dt * k2)
+    k4 = rhs(e * e * y + dt * e * k3)
+    lawson = e * e * y + dt / 6.0 * (e * e * k1 + 2.0 * e * (k2 + k3) + k4)
+    assert np.allclose(ev._rk4_step(rhs, y, dt, k1, e), lawson,
+                       rtol=1e-15, atol=0.0)

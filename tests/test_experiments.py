@@ -68,13 +68,15 @@ def test_run_sigma_table_small(tmp_path):
 
 
 def test_determinism_bytes(tmp_path):
-    cfg = {"params": {"values": [1, 2]}}
-    d1, d2 = str(tmp_path / "a"), str(tmp_path / "b")
-    experiments.run_experiment("sigma-table", cfg, d1, 1)
-    experiments.run_experiment("sigma-table", cfg, d2, 2)
-    b1 = open(os.path.join(d1, "results.csv"), "rb").read()
-    b2 = open(os.path.join(d2, "results.csv"), "rb").read()
-    assert b1 == b2
+    # nonlinear runs hand the thread count to the scipy.fft workers
+    for name, cfg in (("sigma-table", {"params": {"values": [1, 2]}}),
+                      ("lipschitz-blowup", {"params": {"j_list": [1, 4]}})):
+        d1, d2 = str(tmp_path / name / "a"), str(tmp_path / name / "b")
+        experiments.run_experiment(name, cfg, d1, 1)
+        experiments.run_experiment(name, cfg, d2, 2)
+        b1 = open(os.path.join(d1, "results.csv"), "rb").read()
+        b2 = open(os.path.join(d2, "results.csv"), "rb").read()
+        assert b1 == b2
 
 
 def test_illposed_small_and_plot_data(tmp_path):
