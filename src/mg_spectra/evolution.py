@@ -10,10 +10,13 @@
    energy/analyticity diagnostics.
 
 Conventions: Theta(x) = sum_k c(k) exp(i k.x) on the centered cube
-|k|_inf <= N; collocation grid (2N+2)^3; norms are coefficient-l2.  All
-three integrators take fixed steps of one classical RK4 step, `_rk4_step`,
-explicit or with the integrating factor; the two slice systems share one
-trajectory loop, `_slice_trajectory`.
+|k|_inf <= N; norms are coefficient-l2.  The nonlinear solver holds its
+state on the 2/3 band |k_i| <= cut = (2N+1)//3 and forms products on an
+alias-free L^3 grid, L = next_fast_len(3 cut + 1) (64 at N = 32); fields
+cross its API as full centered cubes.  All three integrators take fixed
+steps of one classical RK4 step, `_rk4_step`, explicit or with the
+integrating factor; the two slice systems share one trajectory loop,
+`_slice_trajectory`.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .fields import (GevreyTracker, InsufficientShellsError, SpectralField,
-                     gevrey_norm, l2_norm, radius_estimate, sobolev_a)
+from .fields import (GevreyTracker, SpectralField, gevrey_norm,
+                     radius_estimate, sobolev_a)
 from .params import ModeParams, PhysicalParams
 from .spectrum import UnstableMode, alpha, solve_growth_rate
 from .symbols import b_symbol_grids, m_symbol, m_symbol_grids
@@ -384,7 +387,7 @@ def eigenmode_field(mode: UnstableMode, n: int) -> SpectralField:
     are dropped (the eigenvector decays fast in p).
     """
     mp = mode.params
-    cut = (2 * n + 1) // 3
+    cut = dealias_cut(n)
     if mp.k1 > cut or mp.k2 > cut:
         raise ValueError("mode wavenumbers exceed the dealias band %d" % cut)
     if mp.m > cut:
@@ -415,7 +418,8 @@ class NonlinearSettings:
     exact exponential factor.  The analytic-window guard applies only to
     kappa = 0 runs: the horizon must stay below tau0/(2 K0), with tau0 and
     K0 derived from the initial data (radius_estimate and the Gevrey norm
-    with exponent r); an estimated radius below 0.02 is refused.
+    with exponent r); an estimated radius below 0.02 is refused, and the
+    run's Gevrey tracker starts from the same tau0 and K0.
     reference subtracts a fixed field before computing perturbation
     diagnostics; track_magnetic adds the induced magnetic perturbation norm.
     """
@@ -423,7 +427,6 @@ class NonlinearSettings:
     integrating_factor: bool = False
     workers: int = 1
     snapshot_stride: int = 0
-    track_tau: bool = True
     analytic_guard: bool = True
     r: float = 3.0
     reference: SpectralField = None
@@ -434,77 +437,106 @@ class NonlinearSettings:
 class NonlinearTrajectory:
     t: np.ndarray
     l2: np.ndarray
-    linf: np.ndarray
     energy_residual: np.ndarray
-    tau_estimate: np.ndarray
     pert_l2: np.ndarray
     magnetic_l2: np.ndarray
     snapshots: list
     tracker: GevreyTracker
     final: SpectralField
-    cfl_warned: bool
-    max_velocity: float
+
+
+def dealias_cut(n: int) -> int:
+    """Largest |k_i| of the 2/3 band of the centred cube |k_i| <= n."""
+    return (2 * n + 1) // 3
+
+
+def _band(c: np.ndarray, cut: int) -> np.ndarray:
+    """The centred sub-cube |k_i| <= cut of a centred cube (a view)."""
+    h = c.shape[0] // 2
+    return c[h - cut:h + cut + 1, h - cut:h + cut + 1, h - cut:h + cut + 1]
+
+
+def _pad(c: np.ndarray, n: int) -> np.ndarray:
+    """Zero-pad a centred cube to |k_i| <= n."""
+    out = np.zeros((2 * n + 1,) * 3, dtype=np.complex128)
+    _band(out, c.shape[0] // 2)[...] = c
+    return out
+
+
+def band_limit(c: np.ndarray) -> np.ndarray:
+    """A copy of the centred cube c, zeroed outside its 2/3 band."""
+    n = c.shape[0] // 2
+    return _pad(_band(c, dealias_cut(n)), n)
 
 
 class NonlinearSolver:
-    """Pseudo-spectral right-hand side on the centered cube.
+    """Pseudo-spectral right-hand side on the 2/3 band |k_i| <= cut.
 
-    Velocity components come from the exact multiplier arrays; the
-    advection product is formed on the (2N+2)^3 collocation grid with the
-    velocity and gradient transforms paired into single complex FFTs, then
-    dealiased by the 2/3 rule and projected off the k3 = 0 plane.
+    The state is the Hermitian band cube of side 2 cut + 1.  The advection
+    is formed as div(U Theta), since k.M(k) = 0, on the alias-free L^3
+    grid, L = next_fast_len(3 cut + 1), in four transforms: inverse ones
+    of Theta + i U3 and U1 + i U2, a forward one of U1 Theta + i U2 Theta
+    split by Hermitian symmetry, and a real forward one of U3 Theta.
     """
 
     def __init__(self, n: int, phys: PhysicalParams = None, kappa: float = 0.0,
                  source: SpectralField = None, workers: int = 1):
         if phys is None:
             phys = PhysicalParams()
-        self.n = n
-        self.side = 2 * n + 2
+        self.cut = cut = dealias_cut(n)
+        side = scipy.fft.next_fast_len(3 * cut + 1)
         self.kappa = float(kappa)
         self.workers = workers
-        self.msym = m_symbol_grids(n, phys)
-        k = np.arange(-n, n + 1)
-        k1, k2, k3 = np.meshgrid(k, k, k, indexing="ij")
-        self.ik = (1j * k1, 1j * k2, 1j * k3)
+        self.msym = m_symbol_grids(cut, phys)
+        k1, k2, k3 = np.ogrid[-cut:cut + 1, -cut:cut + 1, -cut:cut + 1]
         self.ksq = (k1 ** 2 + k2 ** 2 + k3 ** 2).astype(float)
-        cut = (2 * n + 1) // 3
-        self.dealias = (np.abs(k1) <= cut) & (np.abs(k2) <= cut) \
-            & (np.abs(k3) <= cut)
-        self.plane = k3 == 0
         self.source = np.zeros_like(self.ksq, dtype=np.complex128) \
-            if source is None else np.array(source.coeffs)
-        self.source[self.plane] = 0.0
-        self._embed_ix = np.ix_(k % self.side, k % self.side, k % self.side)
+            if source is None else np.array(_band(source.coeffs, cut))
+        self.source[:, :, cut] = 0.0
+        # flat positions of the band in the L^3 grid, and of the half band
+        # k3 >= 1 and its mirror -k in the complex and real spectra
+        half = (k1, k2, k3[:, :, cut + 1:])
+        grid = (side,) * 3
+        self._put = np.ravel_multi_index((k1, k2, k3), grid, mode="wrap")
+        self._half = np.ravel_multi_index(half, grid, mode="wrap")
+        self._mirror = np.ravel_multi_index(tuple(-k for k in half), grid,
+                                            mode="wrap")
+        self._half_r = np.ravel_multi_index(half, (side, side, side // 2 + 1),
+                                            mode="wrap")
+        self._ik1, self._k2, self._ik3 = 0.5j * k1, 0.5 * k2, 1j * half[2]
+        self._grid = np.zeros(grid, dtype=np.complex128)
 
     def _to_phys(self, spec: np.ndarray) -> np.ndarray:
-        grid = np.zeros((self.side,) * 3, dtype=np.complex128)
-        grid[self._embed_ix] = spec
-        return scipy.fft.ifftn(grid, workers=self.workers) * self.side ** 3
-
-    def _from_phys(self, phys_vals: np.ndarray) -> np.ndarray:
-        spec = scipy.fft.fftn(phys_vals, workers=self.workers) / self.side ** 3
-        return spec[self._embed_ix]
-
-    def physical(self, c: np.ndarray) -> np.ndarray:
-        """Collocation values of the field (real part)."""
-        return self._to_phys(c).real
+        np.put(self._grid, self._put, spec)
+        return scipy.fft.ifftn(self._grid, norm="forward",
+                               workers=self.workers)
 
     def advection(self, c: np.ndarray):
-        """Dealiased spectral coefficients of U . grad Theta, plus max |U|."""
-        prod = 0.0
-        max_u = 0.0
-        for j in range(3):
-            # one complex transform carries velocity (real part) and
-            # gradient (imag part) together
-            z = self._to_phys(self.msym[j] * c + 1j * (self.ik[j] * c))
-            prod = prod + z.real * z.imag
-            m = float(np.abs(z.real).max())
-            if m > max_u:
-                max_u = m
-        adv = self._from_phys(prod)
-        adv *= self.dealias
-        adv[self.plane] = 0.0
+        """Band coefficients of U . grad Theta, plus max |U_j| on the grid.
+
+        c is any centred cube holding the band; only its band is read.
+        """
+        c = _band(c, self.cut)
+        m1, m2, m3 = self.msym
+        z = self._to_phys(c + 1j * (m3 * c))          # Theta + i U3
+        theta = z.real
+        u = self._to_phys(m1 * c + 1j * (m2 * c))     # U1 + i U2
+        max_u = max(float(np.abs(u.real).max()), float(np.abs(u.imag).max()),
+                    float(np.abs(z.imag).max()))
+        f = scipy.fft.fftn(u * theta, norm="forward",
+                           workers=self.workers).ravel()
+        r = scipy.fft.rfftn(z.imag * theta, norm="forward",
+                            workers=self.workers).ravel()
+        # F = A + iB with A, B the spectra of U1 Theta and U2 Theta, so
+        # i k1 A + i k2 B = (i k1/2)(F(k) + conj F(-k))
+        #                   + (k2/2)(F(k) - conj F(-k))
+        fp = f[self._half]
+        fm = np.conj(f[self._mirror])
+        half = self._ik1 * (fp + fm) + self._k2 * (fp - fm) \
+            + self._ik3 * r[self._half_r]
+        adv = np.zeros_like(self.source)
+        adv[:, :, self.cut + 1:] = half
+        adv[:, :, :self.cut] = np.conj(half[::-1, ::-1, ::-1])
         return adv, max_u
 
     def rhs(self, c: np.ndarray, include_diffusion: bool = True):
@@ -514,29 +546,31 @@ class NonlinearSolver:
             out = out - self.kappa * self.ksq * c
         return out, adv, max_u
 
-    def diagnostics(self, c: np.ndarray, adv: np.ndarray) -> dict:
+    def diagnostics(self, c: np.ndarray, adv: np.ndarray) -> float:
+        """Energy-identity residual |<c, adv>| over kappa |grad c|^2, or
+        over |c|^2 without diffusion."""
         grad_sq = float(np.sum(self.ksq * np.abs(c) ** 2))
-        adv_inner = float(np.real(np.sum(np.conj(c) * adv)))
-        l2_sq = float(np.sum(np.abs(c) ** 2))
+        adv_inner = abs(float(np.real(np.sum(np.conj(c) * adv))))
         if self.kappa > 0 and grad_sq > 0:
-            res = abs(adv_inner) / (self.kappa * grad_sq)
-        else:
-            res = abs(adv_inner) / max(l2_sq, 1e-300)
-        return {"grad_sq": grad_sq, "adv_inner": adv_inner,
-                "energy_residual": res}
+            return adv_inner / (self.kappa * grad_sq)
+        return adv_inner / max(float(np.sum(np.abs(c) ** 2)), 1e-300)
 
 
-def _validate_initial(theta0: SpectralField) -> None:
-    c = theta0.coeffs
-    n = theta0.n
-    scale = max(float(np.abs(c).max()), 1e-300)
-    if abs(c[n, n, n]) > 1e-13 * scale:
-        raise ValueError("initial data must be mean-zero")
-    if float(np.abs(c[:, :, n]).max()) > 1e-13 * scale:
-        raise ValueError("initial data must have zero vertical mean")
-    # advection pairs two real fields in one complex FFT
-    if float(np.abs(c - np.conj(c[::-1, ::-1, ::-1])).max()) > 1e-13 * scale:
-        raise ValueError("initial data must be real: c(-k) = conj(c(k))")
+def _validate_field(fld: SpectralField, what: str) -> None:
+    """Reject, beyond 1e-13 of max |c|, a k3 = 0 plane (which holds the
+    mean), a non-Hermitian part (advection pairs two real fields in one
+    complex FFT) or modes outside the 2/3 band (the solver holds none)."""
+    c = fld.coeffs
+    n = fld.n
+    tol = 1e-13 * max(float(np.abs(c).max()), 1e-300)
+    if float(np.abs(c[:, :, n]).max()) > tol:
+        raise ValueError("%s must have zero mean and zero vertical mean"
+                         % what)
+    if float(np.abs(c - np.conj(c[::-1, ::-1, ::-1])).max()) > tol:
+        raise ValueError("%s must be real: c(-k) = conj(c(k))" % what)
+    if float(np.abs(c - band_limit(c)).max()) > tol:
+        raise ValueError("%s must lie inside the dealias band |k_i| <= %d"
+                         % (what, dealias_cut(n)))
 
 
 # smallest estimated analyticity radius an analytic window is built from
@@ -544,7 +578,8 @@ _TAU_FLOOR = 0.02
 
 
 def _window_parameters(theta0: SpectralField, r: float):
-    """(tau0, K0) for the analytic-window estimate of the initial data."""
+    """(tau0, K0) for the analytic-window estimate of the initial data,
+    given as its band cube, which holds the shells |k| <= cut whole."""
     est = radius_estimate(theta0)
     if est.entire:
         mag2 = np.abs(theta0.coeffs) ** 2
@@ -568,10 +603,12 @@ def evolve_nonlinear(theta0: SpectralField, kappa: float,
                      settings: NonlinearSettings = None) -> NonlinearTrajectory:
     """Advance the nonlinear MG equation and record diagnostics per step.
 
-    theta0 must be real (Hermitian coefficients), mean-zero and with zero
-    vertical mean.  For kappa = 0 the run is held inside the analytic
-    window tau0/(2 K0); horizons beyond it are refused (local analytic
-    theory gives no meaning to the output).
+    theta0 must be real (Hermitian coefficients), mean-zero, with zero
+    vertical mean and inside the 2/3 band; so must the source and the
+    reference field.  The state is held on the band; snapshots and the
+    final field are zero-padded back to theta0's cube.  For kappa = 0 the
+    run is held inside the analytic window tau0/(2 K0); horizons beyond it
+    are refused (local analytic theory gives no meaning to the output).
     A CFL heuristic (max |U| dt N > 0.5) warns once per run.  Snapshots,
     perturbation norms against a reference field, and the induced magnetic
     perturbation norm are recorded per the settings.
@@ -582,11 +619,22 @@ def evolve_nonlinear(theta0: SpectralField, kappa: float,
         phys = PhysicalParams()
     if dt <= 0 or t_end <= 0:
         raise ValueError("dt and t_end must be positive")
-    _validate_initial(theta0)
+    _validate_field(theta0, "initial data")
+    for fld, what in ((source, "source"), (settings.reference, "reference")):
+        if fld is not None:
+            if fld.n != theta0.n:
+                raise ValueError("%s must share the initial data's cube "
+                                 "|k_i| <= %d" % (what, theta0.n))
+            _validate_field(fld, what)
 
+    n = theta0.n
+    solver = NonlinearSolver(n, phys=phys, kappa=kappa, source=source,
+                             workers=settings.workers)
+    cut = solver.cut
     tracker = None
     if kappa == 0.0 and settings.analytic_guard:
-        tau0, k0 = _window_parameters(theta0, settings.r)
+        tau0, k0 = _window_parameters(
+            SpectralField(_band(theta0.coeffs, cut)), settings.r)
         if k0 > 0:
             t_star = tau0 / (2.0 * k0)
             if t_end > t_star:
@@ -595,85 +643,53 @@ def evolve_nonlinear(theta0: SpectralField, kappa: float,
                     "(tau0 = %.4g, K0 = %.4g)" % (t_end, t_star, tau0, k0))
         tracker = GevreyTracker(tau0=tau0, k0=k0, r=settings.r,
                                 max_gap=2.0 * dt)
-    elif settings.track_tau:
-        try:
-            tau0, k0 = _window_parameters(theta0, settings.r)
-            tracker = GevreyTracker(tau0=tau0, k0=k0, r=settings.r,
-                                    max_gap=2.0 * dt)
-        except (ValueError, InsufficientShellsError):
-            tracker = None
 
-    solver = NonlinearSolver(theta0.n, phys=phys, kappa=kappa, source=source,
-                             workers=settings.workers)
     # the integrating factor takes the diffusion out of the right-hand side
-    e = None
-    if settings.integrating_factor and kappa > 0:
-        e = np.exp(-solver.kappa * solver.ksq * (0.5 * dt))
+    e = np.exp(-solver.kappa * solver.ksq * (0.5 * dt)) \
+        if settings.integrating_factor and kappa > 0 else None
 
     def rhs(y):
         return solver.rhs(y, include_diffusion=e is None)[0]
 
-    b_sym = b_symbol_grids(theta0.n, phys) if settings.track_magnetic else None
-    ref = settings.reference.coeffs if settings.reference is not None else None
+    b_sym = b_symbol_grids(cut, phys) if settings.track_magnetic else None
+    ref = None if settings.reference is None \
+        else _band(settings.reference.coeffs, cut)
 
     def record(c, adv, t_now):
-        diag = solver.diagnostics(c, adv)
-        l2 = math.sqrt(float(np.sum(np.abs(c) ** 2)))
-        linf = float(np.abs(solver.physical(c)).max())
-        fld = SpectralField(c)
-        tau = float("nan")
-        if settings.track_tau:
-            try:
-                tau = float(radius_estimate(fld).radius)
-            except InsufficientShellsError:
-                pass
         if tracker is not None:
-            tracker.append(t_now, sobolev_a(fld))
-        pert = float("nan")
-        mag = float("nan")
-        if ref is not None:
-            d = c - ref
-            pert = float(np.linalg.norm(d.ravel()))
-            if b_sym is not None:
-                mag = math.sqrt(sum(float(np.sum(np.abs(b * d) ** 2))
-                                    for b in b_sym))
-        elif b_sym is not None:
-            mag = math.sqrt(sum(float(np.sum(np.abs(b * c) ** 2))
-                                for b in b_sym))
-        return l2, linf, diag["energy_residual"], tau, pert, mag
+            tracker.append(t_now, sobolev_a(SpectralField(c)))
+        d = c if ref is None else c - ref
+        pert = float("nan") if ref is None else float(np.linalg.norm(d.ravel()))
+        mag = float("nan") if b_sym is None else math.sqrt(
+            sum(float(np.sum(np.abs(b * d) ** 2)) for b in b_sym))
+        return (t_now, math.sqrt(float(np.sum(np.abs(c) ** 2))),
+                solver.diagnostics(c, adv), pert, mag)
 
     n_steps = int(round(t_end / dt))
-    c = np.array(theta0.coeffs)
+    c = np.array(_band(theta0.coeffs, cut))
     rows = []
-    times = []
     snaps = []
     cfl_warned = False
-    max_velocity = 0.0
     for i in range(n_steps + 1):
         # stage one doubles as the diagnostic evaluation at the current state
         k1, adv, max_u = solver.rhs(c, include_diffusion=e is None)
-        times.append(i * dt)
         rows.append(record(c, adv, i * dt))
-        max_velocity = max(max_velocity, max_u)
-        if not cfl_warned and max_u * dt * theta0.n > 0.5:
+        if not cfl_warned and max_u * dt * n > 0.5:
             warnings.warn(
                 "CFL heuristic exceeded: max|U| dt N = %.3g > 0.5"
-                % (max_u * dt * theta0.n), RuntimeWarning)
+                % (max_u * dt * n), RuntimeWarning)
             cfl_warned = True
         if settings.snapshot_stride and i % settings.snapshot_stride == 0:
-            snaps.append((i * dt, SpectralField(c.copy())))
+            snaps.append((i * dt, SpectralField(_pad(c, n))))
         if i == n_steps:
             break
         c = _rk4_step(rhs, c, dt, k1, e)
         if not np.all(np.isfinite(c)):
             raise DivergenceError(i + 1)
-    cols = list(zip(*rows))
+    t, l2, energy, pert, mag = (np.asarray(col) for col in zip(*rows))
     return NonlinearTrajectory(
-        t=np.asarray(times), l2=np.asarray(cols[0]), linf=np.asarray(cols[1]),
-        energy_residual=np.asarray(cols[2]), tau_estimate=np.asarray(cols[3]),
-        pert_l2=np.asarray(cols[4]), magnetic_l2=np.asarray(cols[5]),
-        snapshots=snaps, tracker=tracker, final=SpectralField(c),
-        cfl_warned=cfl_warned, max_velocity=max_velocity)
+        t=t, l2=l2, energy_residual=energy, pert_l2=pert, magnetic_l2=mag,
+        snapshots=snaps, tracker=tracker, final=SpectralField(_pad(c, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -737,7 +753,7 @@ def lipschitz_blowup_experiment(j_list, eps: float, t_probe: float,
 
         theta_init = SpectralField(steady_state_field(n, a, m).coeffs
                                    + eps * psi.coeffs)
-        settings = NonlinearSettings(analytic_guard=False, track_tau=False,
+        settings = NonlinearSettings(analytic_guard=False,
                                      reference=steady_state_field(n, a, m),
                                      workers=workers)
         traj = evolve_nonlinear(theta_init, 0.0, None, dt, t_probe,

@@ -231,9 +231,7 @@ def _random_smooth_field(n: int, decay: float, seed: int,
     kn = np.sqrt((k1 ** 2 + k2 ** 2 + k3 ** 2).astype(float))
     c *= np.exp(-decay * kn)
     c[:, :, n] = 0.0
-    cut = (2 * n + 1) // 3
-    c *= (np.abs(k1) <= cut) & (np.abs(k2) <= cut) & (np.abs(k3) <= cut)
-    c = _hermitianize(c)
+    c = _hermitianize(evolution.band_limit(c))
     nrm = np.linalg.norm(c.ravel())
     return fields.SpectralField(c * (scale / nrm))
 
@@ -560,14 +558,15 @@ def _run_gevrey_breakdown(params, tols, out_dir, threads):
     checks.append(_check("spike_fails_criterion",
                          not fields.breakdown_criterion(spike), False, False))
 
-    # tracked nonlinear run
+    # tracked nonlinear run, on the band the solver holds
     theta0 = _synthetic_decay_field(params["n"], params["tau_field"],
                                     float(params["decay_power"]),
                                     params["amplitude"],
                                     seed=params["seed"])
+    theta0 = fields.SpectralField(evolution.band_limit(theta0.coeffs))
     n_steps = int(round(params["t_end"] / params["dt"]))
     settings = evolution.NonlinearSettings(
-        r=params["r"], track_tau=True, snapshot_stride=max(1, n_steps // 4))
+        r=params["r"], snapshot_stride=max(1, n_steps // 4))
     traj = evolution.evolve_nonlinear(theta0, 0.0, None, params["dt"],
                                       params["t_end"], settings=settings)
     tracker = traj.tracker
@@ -675,8 +674,7 @@ def _run_nonlinear_energy(params, tols, out_dir, threads):
 
     # energy identity with kappa > 0 and no source
     theta0 = _random_smooth_field(n, 0.6, params["seed"], scale=0.5)
-    settings = evolution.NonlinearSettings(track_tau=False,
-                                           workers=threads)
+    settings = evolution.NonlinearSettings(workers=threads)
     traj = evolution.evolve_nonlinear(theta0, params["kappa_energy"], None,
                                       0.01, 0.2, settings=settings)
     worst_energy = float(np.max(traj.energy_residual))
@@ -708,9 +706,7 @@ def _run_nonlinear_energy(params, tols, out_dir, threads):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         for dt in (0.1, 0.05, 0.025, 0.00625):
-            tr = evolution.evolve_nonlinear(
-                smooth, 0.02, None, dt, 0.4,
-                settings=evolution.NonlinearSettings(track_tau=False))
+            tr = evolution.evolve_nonlinear(smooth, 0.02, None, dt, 0.4)
             terminal[dt] = tr.final.coeffs
     err = {dt: float(np.linalg.norm((terminal[dt]
                                      - terminal[0.00625]).ravel()))
@@ -737,8 +733,7 @@ def _run_nonlinear_energy(params, tols, out_dir, threads):
     psi = evolution.eigenmode_field(mode, n)
     init = fields.SpectralField(base.coeffs + params["eps_lin"] * psi.coeffs)
     settings_lin = evolution.NonlinearSettings(
-        track_tau=False, reference=base, track_magnetic=True,
-        workers=threads)
+        reference=base, track_magnetic=True, workers=threads)
     t_end = params["steps_lin"] * params["dt_lin"]
     traj = evolution.evolve_nonlinear(init, kap_l, source, params["dt_lin"],
                                       t_end, settings=settings_lin)

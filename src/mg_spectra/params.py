@@ -18,6 +18,8 @@ class PhysicalParams:
     eta: float = 1.0
     beta: float = 1.0
     kappa: float = 0.0
+    # mu as requested from from_mu, where beta**2 / eta rounds it
+    _mu: float = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.omega <= 0 or self.eta <= 0 or self.beta <= 0:
@@ -27,14 +29,20 @@ class PhysicalParams:
 
     @property
     def mu(self) -> float:
-        return self.beta ** 2 / self.eta
+        return self.beta ** 2 / self.eta if self._mu is None else self._mu
 
     @classmethod
     def from_mu(cls, omega: float = 1.0, mu: float = 1.0, kappa: float = 0.0) -> "PhysicalParams":
-        """Build params realizing a given mu with eta = 1 (so beta = sqrt(mu))."""
+        """Build params realizing a given mu with eta = 1 (so beta = sqrt(mu)).
+
+        .mu returns the given mu exactly, though beta**2 may round it.
+        """
         if mu <= 0:
             raise ValueError("mu must be positive")
-        return cls(omega=omega, eta=1.0, beta=mu ** 0.5, kappa=kappa)
+        phys = cls(omega=omega, eta=1.0, beta=mu ** 0.5, kappa=kappa)
+        if phys.mu != mu:
+            object.__setattr__(phys, "_mu", float(mu))
+        return phys
 
 
 @dataclass(frozen=True)

@@ -405,9 +405,7 @@ def optimal_diffusive_mode(kappa: float, a: float, m: int,
     idx = np.nanargmax(sigma)
     k1s = int(k1g.ravel()[idx])
     k2s = int(k2g.ravel()[idx])
-    mp = ModeParams(a=a, m=m, k1=k1s, k2=k2s,
-                    phys=PhysicalParams(omega=phys.omega, eta=phys.eta,
-                                        beta=phys.beta, kappa=phys.kappa))
+    mp = ModeParams(a=a, m=m, k1=k1s, k2=k2s, phys=phys)
     mode = solve_growth_rate_diffusive(mp, kappa)
     if mode is None:
         raise BracketError(float("nan"), float("nan"))

@@ -2,10 +2,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mg_spectra.params import ModeParams, PhysicalParams
 from mg_spectra import evolution as ev
 from mg_spectra import fields, spectrum
+from mg_spectra.symbols import m_symbol
 
 UNIT = ModeParams()
 SIGMA_UNIT = 0.028619204092995829
@@ -147,27 +149,47 @@ def test_nonlinear_rejects_bad_initial():
     c = np.zeros((9, 9, 9), dtype=complex)
     c[4, 4, 4] = 1.0  # nonzero mean
     with pytest.raises(ValueError):
-        ev.evolve_nonlinear(fields.SpectralField(c), 0.1, None, 0.01, 0.05,
-                            settings=ev.NonlinearSettings(track_tau=False))
+        ev.evolve_nonlinear(fields.SpectralField(c), 0.1, None, 0.01, 0.05)
     c2 = np.zeros((9, 9, 9), dtype=complex)
     c2[5, 4, 4] = 1.0
     c2[3, 4, 4] = 1.0  # vertical-mean plane populated
     with pytest.raises(ValueError):
-        ev.evolve_nonlinear(fields.SpectralField(c2), 0.1, None, 0.01, 0.05,
-                            settings=ev.NonlinearSettings(track_tau=False))
+        ev.evolve_nonlinear(fields.SpectralField(c2), 0.1, None, 0.01, 0.05)
     c3 = np.zeros((9, 9, 9), dtype=complex)
     c3[5, 4, 5] = 1.0
     c3[3, 4, 3] = 1.0j  # c(-k) != conj(c(k)): not a real field
     with pytest.raises(ValueError, match="real"):
-        ev.evolve_nonlinear(fields.SpectralField(c3), 0.1, None, 0.01, 0.05,
-                            settings=ev.NonlinearSettings(track_tau=False))
+        ev.evolve_nonlinear(fields.SpectralField(c3), 0.1, None, 0.01, 0.05)
+    # a real mode pair k = +-(8, 0, 1) at n = 8 lies outside the band
+    # |k_i| <= 5, where the solver holds no state
+    wide = np.zeros((17, 17, 17), dtype=complex)
+    wide[16, 8, 9] = wide[0, 8, 7] = 0.5
+    with pytest.raises(ValueError, match="band"):
+        ev.evolve_nonlinear(fields.SpectralField(wide), 0.1, None, 0.01, 0.05)
+    # the source and the reference field are held to the same contract
+    base = ev.steady_state_field(8, 1.0, 1)
+    with pytest.raises(ValueError, match="source must lie inside"):
+        ev.evolve_nonlinear(base, 0.1, fields.SpectralField(wide), 0.01, 0.05)
+    with pytest.raises(ValueError, match="reference must lie inside"):
+        ev.evolve_nonlinear(base, 0.1, None, 0.01, 0.05,
+                            settings=ev.NonlinearSettings(
+                                reference=fields.SpectralField(wide)))
+    # a source on a larger cube than theta0 is refused, even when it lies
+    # inside its own band: modes at +-(7, 0, 1) fall outside theta0's band
+    big = np.zeros((33, 33, 33), dtype=complex)
+    big[23, 16, 17] = big[9, 16, 15] = 0.5
+    with pytest.raises(ValueError, match="source must share"):
+        ev.evolve_nonlinear(base, 0.1, fields.SpectralField(big), 0.01, 0.05)
+    with pytest.raises(ValueError, match="reference must share"):
+        ev.evolve_nonlinear(base, 0.1, None, 0.01, 0.05,
+                            settings=ev.NonlinearSettings(
+                                reference=fields.SpectralField(big)))
 
 
 def test_nonlinear_steady_state_fixed():
     base = ev.steady_state_field(8, 1.0, 1)
     src = ev.steady_source_field(8, 1.0, 1, 0.1)
-    traj = ev.evolve_nonlinear(base, 0.1, src, 0.02, 0.1,
-                               settings=ev.NonlinearSettings(track_tau=False))
+    traj = ev.evolve_nonlinear(base, 0.1, src, 0.02, 0.1)
     drift = np.linalg.norm((traj.final.coeffs - base.coeffs).ravel())
     assert drift <= 1e-15
 
@@ -187,11 +209,68 @@ def _smooth_real_field(n, seed):
     return 0.5 * (c + np.conj(c[::-1, ::-1, ::-1]))
 
 
+def _triad_sum(c, phys):
+    """Truncated Galerkin product sum over p + q = k of (M(p).iq) c(p) c(q)
+    on the band of the centred cube c, with the k3 = 0 plane zeroed: no FFT,
+    no grid.  Loops over q and is vectorised over p."""
+    n = c.shape[0] // 2
+    cut = (2 * n + 1) // 3
+    side = 2 * cut + 1
+    band = c[n - cut:n + cut + 1, n - cut:n + cut + 1, n - cut:n + cut + 1]
+    k = np.arange(-cut, cut + 1)
+    m = m_symbol((k[:, None, None], k[None, :, None], k[None, None, :]),
+                 phys)
+    mc = m * band
+    out = np.zeros_like(band)
+    for q in np.argwhere(band != 0):
+        w = 1j * np.tensordot(q - cut, mc, axes=1) * band[tuple(q)]
+        # p + q = k: shift p's index by q's wavenumber, keep k in the band
+        dst = tuple(slice(max(0, s), side + min(0, s)) for s in q - cut)
+        src = tuple(slice(max(0, -s), side - max(0, s)) for s in q - cut)
+        out[dst] += w[src]
+    out[:, :, cut] = 0.0
+    return out
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_advection_matches_triad_sum(n):
+    # band-limited real data: the alias-free product is the Galerkin sum;
+    # the solver reads the band of the full cube it is given
+    phys = PhysicalParams(omega=1.3, beta=0.9)
+    c = _smooth_real_field(n, n)
+    adv, _ = ev.NonlinearSolver(n, phys=phys).advection(c)
+    ref = _triad_sum(c, phys)
+    assert np.abs(adv - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 9), seed=st.integers(0, 2 ** 32 - 1),
+       kappa=st.floats(0.0, 2.0), dt=st.floats(1e-3, 0.1),
+       integrating_factor=st.booleans())
+def test_rk4_step_properties(n, seed, kappa, dt, integrating_factor):
+    solver = ev.NonlinearSolver(n, kappa=kappa)
+    cut = solver.cut
+    c = ev._band(_smooth_real_field(n, seed), cut)
+    adv, _ = solver.advection(c)
+    # energy: <c, U.grad c> = 0 for the band-limited product
+    assert abs(np.vdot(c, adv)) <= 1e-13 * np.linalg.norm(c) \
+        * np.linalg.norm(adv)
+    e = None
+    if integrating_factor:
+        e = np.exp(-kappa * solver.ksq * (0.5 * dt))
+
+    def rhs(y):
+        return solver.rhs(y, include_diffusion=e is None)[0]
+
+    y = ev._rk4_step(rhs, c, dt, rhs(c), e)
+    assert np.array_equal(y, np.conj(y[::-1, ::-1, ::-1]))
+    assert np.all(y[:, :, cut] == 0.0)
+
+
 def test_nonlinear_energy_identity_small():
     c = _smooth_real_field(8, 2)
     c *= 0.3 / np.linalg.norm(c.ravel())
-    traj = ev.evolve_nonlinear(fields.SpectralField(c), 0.2, None, 0.01, 0.1,
-                               settings=ev.NonlinearSettings(track_tau=False))
+    traj = ev.evolve_nonlinear(fields.SpectralField(c), 0.2, None, 0.01, 0.1)
     assert np.max(traj.energy_residual) <= 1e-10
     assert np.all(np.diff(traj.l2) < 0.0)
 
@@ -216,8 +295,7 @@ def test_nonlinear_tracks_perturbation_and_magnetic():
     mode = spectrum.solve_growth_rate(UNIT)
     psi = ev.eigenmode_field(mode, n)
     init = fields.SpectralField(base.coeffs + 1e-4 * psi.coeffs)
-    settings = ev.NonlinearSettings(track_tau=False, reference=base,
-                                    track_magnetic=True)
+    settings = ev.NonlinearSettings(reference=base, track_magnetic=True)
     traj = ev.evolve_nonlinear(init, 0.05, ev.steady_source_field(n, 1.0, 1, 0.05),
                                0.01, 0.1, settings=settings)
     assert traj.pert_l2[0] == pytest.approx(1e-4, rel=1e-10)
@@ -234,9 +312,7 @@ def test_divergence_error():
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(ev.DivergenceError):
             ev.evolve_nonlinear(fields.SpectralField(c), 50.0, None, 1.0,
-                                40.0,
-                                settings=ev.NonlinearSettings(
-                                    track_tau=False))
+                                40.0)
 
 
 def test_integrating_factor_rk4_order_and_agreement():
@@ -244,8 +320,7 @@ def test_integrating_factor_rk4_order_and_agreement():
     theta = fields.SpectralField(c / np.linalg.norm(c.ravel()))
 
     def terminal(theta, dt, integrating_factor):
-        settings = ev.NonlinearSettings(
-            track_tau=False, integrating_factor=integrating_factor)
+        settings = ev.NonlinearSettings(integrating_factor=integrating_factor)
         return ev.evolve_nonlinear(theta, 0.5, None, dt, 0.4,
                                    settings=settings).final.coeffs
 

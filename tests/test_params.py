@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from mg_spectra.params import ModeParams, PhysicalParams
 
@@ -22,6 +23,12 @@ def test_from_mu():
     assert phys.omega == 2.0
     assert phys.mu == pytest.approx(5.0)
     assert phys.eta == 1.0
+
+
+@given(mu=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+def test_from_mu_is_exact(mu):
+    # beta = sqrt(mu) squares back to mu only up to rounding
+    assert PhysicalParams.from_mu(mu=mu).mu == mu
 
 
 @pytest.mark.parametrize("kwargs", [

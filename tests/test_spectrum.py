@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +10,8 @@ from mg_spectra import spectrum
 UNIT = ModeParams()
 
 # growth rates cross-checked against the truncation-matrix eigenvalue to
-# 1e-10 relative before freezing
+# 1e-10 relative before freezing, and against a 50-digit root
+# (test_growth_rate_table_50_digits)
 SIGMA_TABLE = {
     (1, 1, 1, 1): 0.028619204092995829,
     (2, 1, 1, 1): 0.057238408185991657,
@@ -78,6 +81,38 @@ def test_growth_rate_table(key, expected):
     mode = spectrum.solve_growth_rate(_mode(*key))
     assert mode.sigma == pytest.approx(expected, rel=1e-12)
     assert mode.bracket_lo < mode.sigma < mode.bracket_hi
+
+
+def _sigma_50_digits(a, m, k1, k2, depth=120):
+    """Root of sigma alpha_1 = F_2(sigma) in 50-digit arithmetic, with
+    F_p = 1/(sigma alpha_p - F_{p+1}) cut at depth and Omega = mu = 1,
+    started from the frozen double and held to the analytic bracket."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        ksq = k1 * k1 + k2 * k2
+        al = [mpmath.mpf(8 * (m * p) ** 2 * (ksq + (m * p) ** 2) + 2 * k2 ** 4)
+              / (a * m * k2 ** 2 * ksq) for p in range(1, depth + 1)]
+
+        def h(sigma):
+            f = mpmath.mpf(0)
+            for alp in reversed(al[1:]):
+                f = 1 / (sigma * alp - f)
+            return sigma * al[0] - f
+
+        root = mpmath.findroot(h, mpmath.mpf(SIGMA_TABLE[(a, m, k1, k2)]))
+        lo = 1 / mpmath.sqrt(al[0] * al[1])
+        hi = 1 / mpmath.sqrt(al[0] * al[1] - al[0] ** 2)
+        assert lo < root < hi
+        assert abs(h(root)) < mpmath.mpf(10) ** -40
+        return root
+
+
+@pytest.mark.parametrize("key,expected", sorted(SIGMA_TABLE.items()))
+def test_growth_rate_table_50_digits(key, expected):
+    # the 50-digit root rounded to the nearest double is the frozen value
+    # or its neighbour
+    root = float(_sigma_50_digits(*key))
+    assert abs(root - expected) <= math.ulp(expected)
 
 
 def test_growth_rate_scales_linearly_in_a():
