@@ -34,7 +34,7 @@ from .fields import (GevreyTracker, SpectralField, gevrey_norm,
                      radius_estimate, sobolev_a)
 from .params import ModeParams, PhysicalParams
 from .spectrum import UnstableMode, alpha, solve_growth_rate
-from .symbols import b_symbol_grids, m_symbol, m_symbol_grids
+from .symbols import b_symbol, b_symbol_grids, m_symbol, m_symbol_grids
 
 
 class DivergenceError(RuntimeError):
@@ -109,7 +109,12 @@ def slice_rhs(state: SliceState) -> np.ndarray:
     return rhs
 
 
-def _slice_row_sum(state: SliceState) -> float:
+def _max_dt(row: np.ndarray) -> float:
+    """Largest explicit RK4 step for a generator with absolute row sums row."""
+    return 0.1 / max(float(row.max()), 1e-300)
+
+
+def _slice_max_dt(state: SliceState) -> float:
     big_p = state.c.size
     al = alpha(np.arange(1, big_p + 2), state.mp)
     p = np.arange(1, big_p + 1)
@@ -117,35 +122,34 @@ def _slice_row_sum(state: SliceState) -> float:
     row[:-1] += 1.0 / al[1:big_p]
     row[1:] += 1.0 / al[0:big_p - 1]
     row += state.kappa * (state.mp.ksq + (state.mp.m * p) ** 2)
-    return float(row.max())
+    return _max_dt(row)
 
 
 def _slice_trajectory(rhs, y0: np.ndarray, t0: float, dt: float,
-                      t_end: float, row_sum: float, snapshot_stride: int = 0):
-    """Explicit RK4 run of a linear slice system: (times, norms, snapshots).
+                      t_end: float, max_dt: float, weight=None):
+    """Explicit RK4 run of a linear slice system: (times, norms, weighted).
 
-    Requires dt <= 0.1 / row_sum, the generator's largest absolute row sum.
-    Records the l2 norm at every step and the state at the given stride
-    (0 disables); a non-finite state raises DivergenceError.
+    Requires dt <= max_dt.  Records at every step the l2 norm and, given
+    per-entry weights w, the weighted norm sqrt(sum w |y|^2); a non-finite
+    state raises DivergenceError.
     """
     if dt <= 0 or t_end <= 0:
         raise ValueError("dt and t_end must be positive")
-    limit = 0.1 / max(row_sum, 1e-300)
-    if dt > limit:
-        raise ValueError("dt = %g exceeds the stability margin %g" % (dt, limit))
+    if dt > max_dt:
+        raise ValueError("dt = %g exceeds the stability margin %g"
+                         % (dt, max_dt))
     y = y0.copy()
-    times = [t0]
-    norms = [float(np.linalg.norm(y))]
-    snaps = [y] if snapshot_stride else []
-    for i in range(int(round(t_end / dt))):
-        y = _rk4_step(rhs, y, dt, rhs(y))
-        if not np.all(np.isfinite(y)):
-            raise DivergenceError(i + 1)
-        times.append(t0 + (i + 1) * dt)
+    times, norms, weighted = [], [], []
+    for i in range(int(round(t_end / dt)) + 1):
+        if i:
+            y = _rk4_step(rhs, y, dt, rhs(y))
+            if not np.all(np.isfinite(y)):
+                raise DivergenceError(i)
+        times.append(t0 + i * dt)
         norms.append(float(np.linalg.norm(y)))
-        if snapshot_stride and (i + 1) % snapshot_stride == 0:
-            snaps.append(y)
-    return np.asarray(times), np.asarray(norms), snaps
+        if weight is not None:
+            weighted.append(float(np.sqrt(np.sum(weight * np.abs(y) ** 2))))
+    return np.asarray(times), np.asarray(norms), np.asarray(weighted)
 
 
 @dataclass(frozen=True)
@@ -168,7 +172,7 @@ def evolve_slice(state: SliceState, dt: float,
         return slice_rhs(shell)
 
     t, norm, _ = _slice_trajectory(rhs, state.c, state.t, dt, t_end,
-                                   _slice_row_sum(state))
+                                   _slice_max_dt(state))
     return SliceTrajectory(t=t, norm=norm)
 
 
@@ -202,11 +206,13 @@ def sine_steady_coeffs(a: float, m: int) -> dict:
 
 
 @functools.lru_cache(maxsize=16)
-def _slice_m3(mp: ModeParams, half: int) -> np.ndarray:
-    """M3 along the slice profile k3 = -half..half (read-only, cached)."""
-    m3 = m_symbol((mp.k1, mp.k2, np.arange(-half, half + 1)), mp.phys)[2]
-    m3.flags.writeable = False
-    return m3
+def _slice_symbols(mp: ModeParams, half: int):
+    """(M3, sum_j |b_j|^2) on the slice profile k3 = -half..half, read-only."""
+    k = (mp.k1, mp.k2, np.arange(-half, half + 1))
+    m3 = m_symbol(k, mp.phys)[2]
+    b2 = np.sum(np.abs(b_symbol(k, mp.phys)) ** 2, axis=0)
+    m3.flags.writeable = b2.flags.writeable = False
+    return m3, b2
 
 
 def full_slice_rhs(state: FullSliceState, steady: dict) -> np.ndarray:
@@ -219,7 +225,7 @@ def full_slice_rhs(state: FullSliceState, steady: dict) -> np.ndarray:
     th = state.theta
     half = state.half
     n = np.arange(-half, half + 1)
-    msym = _slice_m3(state.mp, half)
+    msym = _slice_symbols(state.mp, half)[0]
     rhs = np.zeros_like(th)
     for d, coeff in steady.items():
         d = int(d)
@@ -244,10 +250,12 @@ def gronwall_constant(mp: ModeParams, steady: dict) -> float:
         * math.pi ** 2 / (3.0 * math.sqrt(5.0)) * grad_norm
 
 
-def _full_slice_row_sum(state: FullSliceState, steady: dict) -> float:
+def full_slice_max_dt(state: FullSliceState, steady: dict) -> float:
+    """Largest dt evolve_full_slice accepts for this state and steady state:
+    0.1 over the generator's largest absolute row sum."""
     half = state.half
     n = np.arange(-half, half + 1)
-    msym = _slice_m3(state.mp, half)
+    msym = _slice_symbols(state.mp, half)[0]
     row = np.zeros(state.theta.size)
     for d, coeff in steady.items():
         d = int(d)
@@ -257,14 +265,14 @@ def _full_slice_row_sum(state: FullSliceState, steady: dict) -> float:
         else:
             row[:d] += w * msym[-d:]
     row += state.kappa * (state.mp.ksq + n.astype(float) ** 2)
-    return float(row.max())
+    return _max_dt(row)
 
 
 @dataclass(frozen=True)
 class FullSliceTrajectory:
     t: np.ndarray
     norm: np.ndarray
-    states: list
+    magnetic_norm: np.ndarray
     rate_bound: float
 
     def log_derivative(self) -> np.ndarray:
@@ -275,12 +283,13 @@ class FullSliceTrajectory:
 
 
 def evolve_full_slice(state: FullSliceState, steady: dict, dt: float,
-                      t_end: float,
-                      snapshot_stride: int = 0) -> FullSliceTrajectory:
+                      t_end: float) -> FullSliceTrajectory:
     """RK4 trajectory of the general slice operator.
 
-    Tracks the slice l2 norm and reports the Gronwall rate bound
-    2 * gronwall_constant (for d/dt of the squared norm) alongside it.
+    Tracks the slice l2 norm and the norm of the induced magnetic field,
+    sqrt(sum |b(k1, k2, k3)|^2 |theta_hat(k3)|^2), and reports the
+    Gronwall rate bound 2 * gronwall_constant (for d/dt of the squared
+    norm) alongside them.  Requires dt <= full_slice_max_dt.
     """
     shell = FullSliceState(mp=state.mp, theta=state.theta, kappa=state.kappa)
 
@@ -288,12 +297,13 @@ def evolve_full_slice(state: FullSliceState, steady: dict, dt: float,
         shell.theta = th
         return full_slice_rhs(shell, steady)
 
-    t, norm, snaps = _slice_trajectory(
-        rhs, state.theta, state.t, dt, t_end,
-        _full_slice_row_sum(state, steady), snapshot_stride)
+    t, norm, magnetic = _slice_trajectory(
+        rhs, state.theta, state.t, dt, t_end, full_slice_max_dt(state, steady),
+        _slice_symbols(state.mp, state.half)[1])
     # diffusion only lowers the growth rate, so the kappa = 0 bound stands
     bound = 2.0 * gronwall_constant(state.mp, steady)
-    return FullSliceTrajectory(t=t, norm=norm, states=snaps, rate_bound=bound)
+    return FullSliceTrajectory(t=t, norm=norm, magnetic_norm=magnetic,
+                               rate_bound=bound)
 
 
 def embed_restricted(state: SliceState, half: int = None) -> FullSliceState:
@@ -314,16 +324,6 @@ def embed_restricted(state: SliceState, half: int = None) -> FullSliceState:
         th[half + m * p] = -0.5j * cp
         th[half - m * p] = 0.5j * cp
     return FullSliceState(mp=state.mp, theta=th, kappa=state.kappa, t=state.t)
-
-
-def extract_restricted(state: FullSliceState, count: int) -> np.ndarray:
-    """Read back c_p, p = 1..count, from an embedded slice profile."""
-    m = state.mp.m
-    half = state.half
-    if m * count > half:
-        raise ValueError("profile too short for %d modes" % count)
-    idx = half + m * np.arange(1, count + 1)
-    return np.real(2j * state.theta[idx])
 
 
 # ---------------------------------------------------------------------------
@@ -457,14 +457,15 @@ def _band(c: np.ndarray, cut: int) -> np.ndarray:
 
 
 def _pad(c: np.ndarray, n: int) -> np.ndarray:
-    """Zero-pad a centred cube to |k_i| <= n."""
+    """Zero-pad a centred cube to |k_i| <= n (read-only: fields keep it)."""
     out = np.zeros((2 * n + 1,) * 3, dtype=np.complex128)
     _band(out, c.shape[0] // 2)[...] = c
+    out.flags.writeable = False
     return out
 
 
 def band_limit(c: np.ndarray) -> np.ndarray:
-    """A copy of the centred cube c, zeroed outside its 2/3 band."""
+    """A read-only copy of the cube c, zeroed outside its 2/3 band."""
     n = c.shape[0] // 2
     return _pad(_band(c, dealias_cut(n)), n)
 

@@ -25,7 +25,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import evolution, fields, spectrum, symbols
+from . import evolution, fields, spectrum
 from .params import ModeParams, PhysicalParams
 
 EXPERIMENT_NAMES = (
@@ -247,7 +247,7 @@ def _synthetic_decay_field(n: int, tau: float, q: float, amplitude: float,
         mag = amplitude * np.exp(-tau * kn) * np.where(kn > 0, kn, 1.0) ** (-q)
     mag[n, n, n] = 0.0
     if seed is None:
-        c = mag.astype(np.complex128)
+        c = mag  # SpectralField makes the one complex copy
     else:
         rng = np.random.default_rng(seed)
         phase = np.exp(2j * np.pi * rng.random(shape))
@@ -451,25 +451,15 @@ def _run_diffusive_sweep(params, tols, out_dir, threads):
 def _slice_rate_pair(mode, mp, kappa, slice_p):
     """theta and magnetic growth rates from the linear slice evolution."""
     keep = min(slice_p, mode.c_tilde.size)
-    state = evolution.SliceState(mp=mp, c=mode.c_tilde[:keep].copy(),
-                                 kappa=kappa)
-    full = evolution.embed_restricted(state)
+    full = evolution.embed_restricted(
+        evolution.SliceState(mp=mp, c=mode.c_tilde[:keep], kappa=kappa))
     steady = evolution.sine_steady_coeffs(mp.a, mp.m)
     t_end = 3.0 / mode.sigma
-    limit = 0.1 / max(evolution._full_slice_row_sum(full, steady), 1e-300)
-    dt = min(t_end / 60.0, limit)
-    traj = evolution.evolve_full_slice(full, steady, dt, t_end,
-                                       snapshot_stride=1)
-    n_idx = np.arange(-full.half, full.half + 1)
-    wsq = np.sum(np.abs(symbols.b_symbol((mp.k1, mp.k2, n_idx), mp.phys))
-                 ** 2, axis=0)
-    snaps = np.asarray(traj.states)
-    b_norm = np.sqrt((wsq[None, :] * np.abs(snaps) ** 2).sum(axis=1))
-    t_snap = traj.t[: len(b_norm)]
+    dt = min(t_end / 60.0, evolution.full_slice_max_dt(full, steady))
+    traj = evolution.evolve_full_slice(full, steady, dt, t_end)
     window = (t_end / 3.0, t_end)
-    fit_t = evolution.measure_growth_rate(traj.t, traj.norm, window)
-    fit_b = evolution.measure_growth_rate(t_snap, b_norm, window)
-    return fit_t.rate, fit_b.rate
+    return tuple(evolution.measure_growth_rate(traj.t, norm, window).rate
+                 for norm in (traj.norm, traj.magnetic_norm))
 
 
 def _run_dynamo_scaling(params, tols, out_dir, threads):

@@ -2,8 +2,8 @@
 
 A field is stored by its Fourier coefficients on the centered cube
 |k|_inf <= N, so Theta(x) = sum_k c(k) exp(i k.x).  All norms below are
-coefficient norms: l2_norm is sqrt(sum |c(k)|^2), which equals the L2 norm
-of Theta divided by (2 pi)^{dim/2}.  The Gevrey norm squared is
+coefficient norms: the l2 norm sqrt(sum |c(k)|^2) equals the L2 norm of
+Theta divided by (2 pi)^{dim/2}.  The Gevrey norm squared is
 
     sum_k |k|^{2r} exp(2 tau |k|) |c(k)|^2
 
@@ -12,14 +12,9 @@ and the scalar driving the radius ODEs is a = sum_k |k|^{3/2} |c(k)|.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-
-_MAGIC = b"MGSF"
-_LAYOUT_VERSION = 1
-
 
 class GevreyOverflowError(ValueError):
     """Raised when exp(2 tau |k|) overflows for a populated shell."""
@@ -38,14 +33,17 @@ class SpectralField:
     """Immutable Fourier coefficient array on the centered cube |k|_inf <= N.
 
     coeffs has shape (2N+1,)*dim with axis index i corresponding to
-    wavenumber k = i - N.  The array is frozen on construction; build
-    modified fields through new instances.
+    wavenumber k = i - N.  The field owns its frozen array: it copies a
+    writable input that the conversion left shared (a read-only one is
+    kept); build modified fields through new instances.
     """
 
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.ascontiguousarray(np.asarray(self.coeffs, dtype=np.complex128))
+        c = np.ascontiguousarray(self.coeffs, dtype=np.complex128)
+        if c.flags.writeable and np.may_share_memory(c, self.coeffs):
+            c = c.copy()
         if c.ndim not in (1, 2, 3):
             raise ValueError("field dimension must be 1, 2, or 3")
         side = c.shape[0]
@@ -61,10 +59,6 @@ class SpectralField:
     @property
     def n(self) -> int:
         return self.coeffs.shape[0] // 2
-
-    @classmethod
-    def zeros(cls, n: int, dim: int = 3) -> "SpectralField":
-        return cls(np.zeros((2 * n + 1,) * dim, dtype=np.complex128))
 
     @classmethod
     def from_modes(cls, n: int, modes: dict, dim: int = 3) -> "SpectralField":
@@ -88,10 +82,6 @@ class SpectralField:
     def __getitem__(self, k) -> complex:
         k = tuple(int(x) for x in (k if isinstance(k, tuple) else (k,)))
         return complex(self.coeffs[tuple(x + self.n for x in k)])
-
-
-def l2_norm(fld: SpectralField) -> float:
-    return float(np.linalg.norm(fld.coeffs.ravel()))
 
 
 def sobolev_a(fld: SpectralField, s: float = 1.5) -> float:
@@ -281,13 +271,8 @@ class RefinedRadius:
     tau: np.ndarray
     max_step: float
 
-    def floor_time(self, floor: float = 0.0) -> float:
-        """First sample time with tau <= floor, or +inf if none."""
-        hit = np.nonzero(self.tau <= floor)[0]
-        return float(self.t[hit[0]]) if hit.size else float("inf")
 
-
-def radius_ode_refined(tracker: GevreyTracker, t_eval: float = None):
+def radius_ode_refined(tracker: GevreyTracker) -> RefinedRadius:
     """Integrate the refined radius ODE along recorded (t, a) samples.
 
     Solves  tau' = -3 c_r a(t) - 2 c_r k0 exp(-c_r A(t)) tau  exactly by
@@ -298,8 +283,7 @@ def radius_ode_refined(tracker: GevreyTracker, t_eval: float = None):
 
     All integrals use the trapezoid rule on the recorded grid; the largest
     step is reported in the result.  Gaps beyond tracker.max_gap raise
-    SamplingError.  With t_eval given, returns the scalar tau(t_eval)
-    interpolated on the sample grid instead of the full curve.
+    SamplingError.
     """
     gap = tracker._check_gaps()
     t = tracker.t
@@ -311,12 +295,7 @@ def radius_ode_refined(tracker: GevreyTracker, t_eval: float = None):
     with np.errstate(over="raise"):
         inner = _cumtrapz(a * np.exp(2.0 * c_r * k0 * b), t)
     tau = outer * (tau0 - 3.0 * c_r * inner)
-    result = RefinedRadius(t=t, tau=tau, max_step=gap)
-    if t_eval is None:
-        return result
-    if not (t[0] <= t_eval <= t[-1]):
-        raise SamplingError("t_eval outside the recorded interval")
-    return float(np.interp(t_eval, t, tau))
+    return RefinedRadius(t=t, tau=tau, max_step=gap)
 
 
 def breakdown_criterion(tracker: GevreyTracker, t_end: float = None) -> bool:
@@ -341,44 +320,6 @@ def breakdown_criterion(tracker: GevreyTracker, t_end: float = None) -> bool:
     integral = float(_cumtrapz(np.exp(-accs), ts)[-1])
     rhs = a_t * np.exp(tracker.c_r * tracker.k0 * integral)
     return bool(tracker.tau0 / tracker.c_r > rhs)
-
-
-def save_field(fld: SpectralField, path) -> None:
-    """Write a field: 16-byte header (magic, layout version, dim, N) then
-    complex doubles in lexicographic k order."""
-    header = struct.pack("<4sIII", _MAGIC, _LAYOUT_VERSION, fld.dim, fld.n)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(fld.coeffs).tobytes())
-
-
-def load_field(path) -> SpectralField:
-    with open(path, "rb") as fh:
-        header = fh.read(16)
-        if len(header) != 16:
-            raise ValueError("truncated field file header")
-        magic, version, dim, n = struct.unpack("<4sIII", header)
-        if magic != _MAGIC:
-            raise ValueError("not a spectral field file")
-        if version != _LAYOUT_VERSION:
-            raise ValueError("unsupported layout version %d" % version)
-        count = (2 * n + 1) ** dim
-        data = np.fromfile(fh, dtype=np.complex128, count=count)
-    if data.size != count:
-        raise ValueError("truncated field file payload")
-    return SpectralField(data.reshape((2 * n + 1,) * dim))
-
-
-def field_to_csv(fld: SpectralField, path) -> None:
-    """Dump coefficients as rows k1,..,k_dim,re,im in lexicographic k order."""
-    n, dim = fld.n, fld.dim
-    cols = ",".join("k%d" % (i + 1) for i in range(dim))
-    with open(path, "w") as fh:
-        fh.write(cols + ",re,im\n")
-        for idx in np.ndindex(fld.coeffs.shape):
-            c = fld.coeffs[idx]
-            ks = ",".join(str(i - n) for i in idx)
-            fh.write("%s,%.17g,%.17g\n" % (ks, c.real, c.imag))
 
 
 def tracker_to_csv(tracker: GevreyTracker, path, tau: np.ndarray = None) -> None:

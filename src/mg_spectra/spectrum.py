@@ -33,7 +33,7 @@ LAPACK on the truncated symmetric matrix serves as an independent oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -212,26 +212,6 @@ class UnstableMode:
     truncation_P: int
     residual: float
 
-    def unit_coefficients(self) -> np.ndarray:
-        """c_tilde scaled to unit l2 norm, for solver initial data."""
-        return self.c_tilde / np.linalg.norm(self.c_tilde)
-
-    def to_json_dict(self) -> dict:
-        mp = self.params
-        return {
-            "a": mp.a, "m": mp.m, "k1": mp.k1, "k2": mp.k2,
-            "omega": mp.phys.omega, "mu": mp.phys.mu,
-            "kappa": self.kappa,
-            "sigma": self.sigma,
-            "bracket": [self.bracket_lo, self.bracket_hi],
-            "residual": self.residual,
-            "P": self.truncation_P,
-            "eta": [float(x) for x in self.eta],
-            "c_tilde": [float(x) for x in self.c_tilde],
-            "log_c_tilde": [float(x) for x in self.log_c_tilde],
-        }
-
-
 def _unstable_mode(mp: ModeParams, kappa: float, sigma: float, lo: float,
                    hi: float, residual: float, P: int) -> UnstableMode:
     """eta_p = -F_p(sigma) for p = 2..P from the recurrence, then c_tilde."""
@@ -378,7 +358,6 @@ class OptimalModeResult:
     k1: int
     k2: int
     mode: UnstableMode
-    sigma_grid: np.ndarray = field(repr=False)
     k1_predicted: float
     k2_predicted: float
     sigma_bound: float
@@ -410,6 +389,6 @@ def optimal_diffusive_mode(kappa: float, a: float, m: int,
     if mode is None:
         raise BracketError(float("nan"), float("nan"))
     bound = dynamo_bound(kappa, a, phys)
-    return OptimalModeResult(k1=k1s, k2=k2s, mode=mode, sigma_grid=sigma,
+    return OptimalModeResult(k1=k1s, k2=k2s, mode=mode,
                              k1_predicted=k1p, k2_predicted=k2p,
                              sigma_bound=bound, bound_met=mode.sigma >= bound)

@@ -146,12 +146,6 @@ class AsymptoticsReport:
     r: float
     rows: list  # (k1, k2, |M1|, |M2|, |M3|, ratio1, ratio2, ratio3)
 
-    def ratio_bounds(self) -> list[tuple[float, float]]:
-        """(min, max) of |M1|/k1^r, |M2|/k1, |M3|/k1^{2r} over the curve."""
-        ratios = np.array(self.rows)[:, 5:]
-        return list(zip(ratios.min(axis=0).tolist(),
-                        ratios.max(axis=0).tolist()))
-
 
 def symbol_asymptotics_report(r: float, k1_values: Sequence[int],
                               phys: PhysicalParams) -> AsymptoticsReport:
@@ -172,25 +166,6 @@ def symbol_asymptotics_report(r: float, k1_values: Sequence[int],
     table = np.column_stack([k1, k2, am.T, (am / scale).T])
     return AsymptoticsReport(r=r, rows=[tuple(map(float, row))
                                         for row in table])
-
-
-def symbol_growth_constant(phys: PhysicalParams, n_max: int = 64) -> dict:
-    """Measured constant in |M(k)| <= C |k| over the cube |k|_inf <= n_max.
-
-    Returns the fitted C, and the maximum of |M(k)|/|k| along the curve
-    (k1, round(sqrt(k1)), 1), which attains C to within a factor 2.
-    """
-    k1, k2, k3 = _cube(n_max)
-    ksq = k1 * k1 + k2 * k2 + k3 * k3
-    m = m_symbol_grids(n_max, phys)
-    with np.errstate(invalid="ignore"):
-        ratio = np.where(ksq > 0, np.sqrt((m * m).sum(axis=0) / ksq), 0.0)
-    c_fit = float(ratio.max())
-    kk1 = np.arange(1, n_max + 1)
-    kk2 = np.maximum(1, np.rint(np.sqrt(kk1)).astype(int))
-    m = m_symbol((kk1, kk2, 1), phys)
-    curve = np.sqrt((m * m).sum(axis=0) / (kk1 * kk1 + kk2 * kk2 + 1))
-    return {"c_fit": c_fit, "curve_max": float(curve.max())}
 
 
 def symbol_table_csv(path, n: int, phys: PhysicalParams) -> None:

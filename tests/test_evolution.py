@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from mg_spectra.params import ModeParams, PhysicalParams
 from mg_spectra import evolution as ev
 from mg_spectra import fields, spectrum
-from mg_spectra.symbols import m_symbol
+from mg_spectra.symbols import b_symbol, m_symbol
 
 UNIT = ModeParams()
 SIGMA_UNIT = 0.028619204092995829
@@ -50,8 +50,11 @@ def test_evolve_slice_decay_with_strong_diffusion():
 def test_embed_extract_roundtrip():
     st = ev.SliceState(mp=UNIT, c=np.arange(1.0, 9.0))
     full = ev.embed_restricted(st)
-    back = ev.extract_restricted(full, 8)
-    assert np.allclose(back, st.c, atol=1e-15)
+    # c_p sin(p x3) puts -i c_p/2 at k3 = +p and +i c_p/2 at k3 = -p
+    half = full.half
+    p = np.arange(1, 9)
+    assert np.array_equal(full.theta[half + p], -0.5j * st.c)
+    assert np.array_equal(full.theta[half - p], 0.5j * st.c)
     # hermitian profile for a real restricted state
     th = full.theta
     assert np.allclose(th, np.conj(th[::-1]), atol=1e-15)
@@ -71,6 +74,29 @@ def test_full_slice_matches_restricted():
     ratio = traj_f.norm / traj_r.norm
     assert np.allclose(ratio, ratio[0], rtol=1e-12)
     assert ratio[0] == pytest.approx(np.sqrt(0.5), rel=1e-12)
+
+
+def test_full_slice_magnetic_norm():
+    rng = np.random.default_rng(5)
+    th = rng.standard_normal(33) + 1j * rng.standard_normal(33)
+    th[16] = 0.0
+    mp = ModeParams(k1=3, k2=2)
+    steady = ev.sine_steady_coeffs(mp.a, mp.m)
+    traj = ev.evolve_full_slice(ev.FullSliceState(mp=mp, theta=th), steady,
+                                0.05, 1.0)
+    b = b_symbol((mp.k1, mp.k2, np.arange(-16, 17)), mp.phys)
+    expect = np.sqrt(np.sum(np.abs(b) ** 2 * np.abs(th) ** 2))
+    assert traj.magnetic_norm.shape == traj.norm.shape
+    assert traj.magnetic_norm[0] == pytest.approx(expect, rel=1e-14)
+
+
+def test_full_slice_max_dt_is_the_stability_margin():
+    full = ev.embed_restricted(ev.SliceState(mp=UNIT, c=np.ones(8)))
+    steady = ev.sine_steady_coeffs(UNIT.a, UNIT.m)
+    limit = ev.full_slice_max_dt(full, steady)
+    ev.evolve_full_slice(full, steady, limit, 10.0 * limit)
+    with pytest.raises(ValueError, match="stability margin"):
+        ev.evolve_full_slice(full, steady, 1.01 * limit, 10.0 * limit)
 
 
 def test_sine_steady_coeffs():

@@ -69,8 +69,11 @@ def test_run_sigma_table_small(tmp_path):
 
 def test_determinism_bytes(tmp_path):
     # nonlinear runs hand the thread count to the scipy.fft workers
+    # dynamo-scaling runs one slice rate pair per kappa under the pool
     for name, cfg in (("sigma-table", {"params": {"values": [1, 2]}}),
-                      ("lipschitz-blowup", {"params": {"j_list": [1, 4]}})):
+                      ("lipschitz-blowup", {"params": {"j_list": [1, 4]}}),
+                      ("dynamo-scaling",
+                       {"params": {"kappas": [1e-2, 3e-3]}})):
         d1, d2 = str(tmp_path / name / "a"), str(tmp_path / name / "b")
         experiments.run_experiment(name, cfg, d1, 1)
         experiments.run_experiment(name, cfg, d2, 2)

@@ -11,7 +11,6 @@ from mg_spectra.fields import (
     SpectralField,
     breakdown_criterion,
     gevrey_norm,
-    l2_norm,
     radius_estimate,
     radius_ode_linear,
     radius_ode_refined,
@@ -29,8 +28,19 @@ def test_field_shape_validation():
         SpectralField(np.zeros((4, 4, 4), dtype=complex))  # even side
     with pytest.raises(ValueError):
         SpectralField(np.zeros((3, 5, 3), dtype=complex))  # not a cube
-    f = SpectralField.zeros(2, dim=3)
+    f = SpectralField(np.zeros((5, 5, 5), dtype=complex))
     assert f.n == 2 and f.dim == 3
+
+
+def test_field_owns_its_array():
+    # a contiguous complex128 input is neither frozen nor shared
+    c = np.zeros((3, 3, 3), dtype=complex)
+    f = SpectralField(c)
+    c[0, 0, 0] = 1.0
+    assert f[(-1, -1, -1)] == 0.0
+    assert not f.coeffs.flags.writeable
+    # a read-only input, here another field's array, is kept as is
+    assert SpectralField(f.coeffs).coeffs is f.coeffs
 
 
 def test_from_modes_and_getitem():
@@ -38,11 +48,6 @@ def test_from_modes_and_getitem():
     assert f[(1, 0, 1)] == 0.5
     assert f[(-1, 0, -1)] == 0.5
     assert f[(0, 0, 0)] == 0.0
-
-
-def test_l2_norm():
-    f = _pair_field(amp=0.5)
-    assert l2_norm(f) == pytest.approx(np.sqrt(0.25 + 0.25), rel=1e-15)
 
 
 def test_sobolev_a_hand_value():
@@ -130,9 +135,6 @@ def test_radius_ode_refined_closed_form():
     ref = radius_ode_refined(tr)
     closed = 0.7 * np.exp(-4.0 * ref.t)
     assert np.max(np.abs(ref.tau - closed)) <= 1e-12
-    # scalar evaluation interpolates
-    mid = radius_ode_refined(tr, t_eval=0.5)
-    assert mid == pytest.approx(0.7 * np.exp(-2.0), rel=1e-4)
 
 
 def test_refined_floor_time():
@@ -140,9 +142,7 @@ def test_refined_floor_time():
     for t in np.linspace(0.0, 4.0, 41):
         tr.append(float(t), 1.0)  # strong forcing drives tau down fast
     ref = radius_ode_refined(tr)
-    t_floor = ref.floor_time(1e-3)
-    assert np.isfinite(t_floor)
-    assert ref.tau[np.searchsorted(ref.t, t_floor)] <= 1e-3
+    assert np.min(ref.tau) <= 1e-3
 
 
 def test_breakdown_criterion_split():
@@ -153,27 +153,6 @@ def test_breakdown_criterion_split():
         spike.append(float(t), 0.0 if t < 0.5 else 50.0)
     assert breakdown_criterion(calm) is True
     assert breakdown_criterion(spike) is False
-
-
-def test_save_load_roundtrip(tmp_path):
-    f = _pair_field(n=4, amp=0.5 + 0.25j, k=(2, -1, 1))
-    path = os.path.join(tmp_path, "f.mgsf")
-    fields.save_field(f, path)
-    g = fields.load_field(path)
-    assert np.array_equal(f.coeffs, g.coeffs)
-    raw = open(path, "rb").read()
-    assert raw[:4] == b"MGSF"
-    with pytest.raises(ValueError):
-        fields.load_field(__file__)
-
-
-def test_field_to_csv(tmp_path):
-    f = _pair_field(n=1)
-    path = os.path.join(tmp_path, "f.csv")
-    fields.field_to_csv(f, path)
-    lines = open(path).read().strip().splitlines()
-    assert lines[0] == "k1,k2,k3,re,im"
-    assert len(lines) == 1 + 27
 
 
 def test_tracker_to_csv(tmp_path):

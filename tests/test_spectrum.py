@@ -132,15 +132,6 @@ def test_unstable_mode_fields():
     signs = np.sign(mode.c_tilde[nz])
     assert np.array_equal(signs, (-1.0) ** nz)
     assert np.count_nonzero(mode.c_tilde) < mode.truncation_P
-    d = mode.to_json_dict()
-    assert d["sigma"] == mode.sigma
-    assert len(d["c_tilde"]) == mode.truncation_P
-
-
-def test_unit_coefficients_normalized():
-    mode = spectrum.solve_growth_rate(UNIT)
-    c = mode.unit_coefficients()
-    assert np.linalg.norm(c) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_matrix_oracle_agreement():

@@ -112,8 +112,8 @@ def test_asymptotics_report():
     with pytest.raises(ValueError):
         symbols.symbol_asymptotics_report(0.75, [1, 2], UNIT)
     rep = symbols.symbol_asymptotics_report(0.5, [4, 16, 64, 256], UNIT)
-    bounds = rep.ratio_bounds()
-    for lo, hi in bounds:
+    ratios = np.array(rep.rows)[:, 5:]
+    for lo, hi in zip(ratios.min(axis=0), ratios.max(axis=0)):
         assert lo > 0
         assert hi / lo < 10.0
     for row in rep.rows:
@@ -122,11 +122,6 @@ def test_asymptotics_report():
     # |M2| itself is unbounded along the curve
     m2 = [row[3] for row in rep.rows]
     assert m2[-1] > 10.0 * m2[0]
-
-
-def test_growth_constant():
-    out = symbols.symbol_growth_constant(UNIT, n_max=24)
-    assert out["curve_max"] <= out["c_fit"] <= 2.0 * out["curve_max"]
 
 
 def test_symbol_table_csv(tmp_path):
