@@ -38,10 +38,8 @@ from .fields import (
 )
 from .evolution import (
     NonlinearSettings,
-    SliceState,
     evolve_full_slice,
     evolve_nonlinear,
-    evolve_slice,
     lipschitz_blowup_experiment,
     measure_growth_rate,
 )
@@ -58,8 +56,8 @@ __all__ = [
     "truncated_matrix_eigenvalue",
     "GevreyTracker", "SpectralField", "breakdown_criterion", "gevrey_norm",
     "radius_estimate", "radius_ode_linear", "radius_ode_refined",
-    "NonlinearSettings", "SliceState", "evolve_full_slice",
-    "evolve_nonlinear", "evolve_slice", "lipschitz_blowup_experiment",
+    "NonlinearSettings", "evolve_full_slice", "evolve_nonlinear",
+    "lipschitz_blowup_experiment",
     "measure_growth_rate",
     "__version__",
 ]

@@ -1,10 +1,10 @@
-"""Time integration for the MG equation at three levels of reduction.
+"""Time integration for the MG equation at two levels of reduction.
 
-1. The restricted slice system: real coefficients c_p of the sine modes
-   coupled by the eigenvalue recursion, advanced as a linear ODE system.
-2. The general (k1, k2) Fourier slice: complex vertical profiles
-   theta_hat(k3) driven by the convolution with a steady-state gradient.
-3. The full nonlinear pseudo-spectral solver for
+1. The (k1, k2) Fourier slice: the linearization about a sin(m x3) acting
+   on complex vertical profiles theta_hat(k3), driven by the convolution
+   with the steady-state gradient.  Sine coefficients c_p, the basis of
+   the eigenvalue recursion, enter through embed_restricted.
+2. The full nonlinear pseudo-spectral solver for
    d Theta/dt + U . grad Theta = S + kappa Lap Theta,   U_j = M_j Theta,
    with 2/3-rule dealiasing, explicit or integrating-factor diffusion, and
    energy/analyticity diagnostics.
@@ -13,10 +13,9 @@ Conventions: Theta(x) = sum_k c(k) exp(i k.x) on the centered cube
 |k|_inf <= N; norms are coefficient-l2.  The nonlinear solver holds its
 state on the 2/3 band |k_i| <= cut = (2N+1)//3 and forms products on an
 alias-free L^3 grid, L = next_fast_len(3 cut + 1) (64 at N = 32); fields
-cross its API as full centered cubes.  All three integrators take fixed
+cross its API as full centered cubes.  Both integrators take fixed
 steps of one classical RK4 step, `_rk4_step`, explicit or with the
-integrating factor; the two slice systems share one trajectory loop,
-`_slice_trajectory`.
+integrating factor.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ import scipy.fft
 from .fields import (GevreyTracker, SpectralField, gevrey_norm,
                      radius_estimate, sobolev_a)
 from .params import ModeParams, PhysicalParams
-from .spectrum import UnstableMode, alpha, solve_growth_rate
+from .spectrum import UnstableMode, solve_growth_rate
 from .symbols import b_symbol, b_symbol_grids, m_symbol, m_symbol_grids
 
 
@@ -66,47 +65,7 @@ def _rk4_step(rhs, y, dt: float, k1, e=None):
 
 
 # ---------------------------------------------------------------------------
-# restricted slice system
-
-
-@dataclass
-class SliceState:
-    """Real sine-mode coefficients c_p, p = 1..P, on one (k1, k2) slice."""
-
-    mp: ModeParams
-    c: np.ndarray
-    kappa: float = 0.0
-    t: float = 0.0
-
-    def __post_init__(self):
-        c = np.asarray(self.c, dtype=float)
-        if c.ndim != 1 or c.size < 8:
-            raise ValueError("c must be a 1-d array with P >= 8")
-        if self.kappa < 0:
-            raise ValueError("kappa must be non-negative")
-        self.c = c
-
-    @property
-    def truncation(self) -> int:
-        return self.c.size
-
-
-def slice_rhs(state: SliceState) -> np.ndarray:
-    """Generator action dc_p/dt = -c_{p+1}/alpha_{p+1} - c_{p-1}/alpha_{p-1}.
-
-    Row 1 has only the -c_2/alpha_2 coupling and the truncation row P drops
-    the p+1 term.  kappa > 0 subtracts kappa (k1^2 + k2^2 + m^2 p^2) c_p.
-    """
-    c = state.c
-    big_p = c.size
-    al = alpha(np.arange(1, big_p + 2), state.mp)
-    rhs = np.zeros_like(c)
-    rhs[:-1] -= c[1:] / al[1:big_p]
-    rhs[1:] -= c[:-1] / al[0:big_p - 1]
-    if state.kappa:
-        p = np.arange(1, big_p + 1)
-        rhs -= state.kappa * (state.mp.ksq + (state.mp.m * p) ** 2) * c
-    return rhs
+# general slice operator
 
 
 def _max_dt(row: np.ndarray) -> float:
@@ -114,24 +73,13 @@ def _max_dt(row: np.ndarray) -> float:
     return 0.1 / max(float(row.max()), 1e-300)
 
 
-def _slice_max_dt(state: SliceState) -> float:
-    big_p = state.c.size
-    al = alpha(np.arange(1, big_p + 2), state.mp)
-    p = np.arange(1, big_p + 1)
-    row = np.zeros(big_p)
-    row[:-1] += 1.0 / al[1:big_p]
-    row[1:] += 1.0 / al[0:big_p - 1]
-    row += state.kappa * (state.mp.ksq + (state.mp.m * p) ** 2)
-    return _max_dt(row)
-
-
-def _slice_trajectory(rhs, y0: np.ndarray, t0: float, dt: float,
-                      t_end: float, max_dt: float, weight=None):
+def _slice_trajectory(rhs, y0: np.ndarray, dt: float, t_end: float,
+                      max_dt: float, weight: np.ndarray):
     """Explicit RK4 run of a linear slice system: (times, norms, weighted).
 
-    Requires dt <= max_dt.  Records at every step the l2 norm and, given
-    per-entry weights w, the weighted norm sqrt(sum w |y|^2); a non-finite
-    state raises DivergenceError.
+    Requires dt <= max_dt.  Records at every step the l2 norm and the
+    weighted norm sqrt(sum w |y|^2); a non-finite state raises
+    DivergenceError.
     """
     if dt <= 0 or t_end <= 0:
         raise ValueError("dt and t_end must be positive")
@@ -145,39 +93,10 @@ def _slice_trajectory(rhs, y0: np.ndarray, t0: float, dt: float,
             y = _rk4_step(rhs, y, dt, rhs(y))
             if not np.all(np.isfinite(y)):
                 raise DivergenceError(i)
-        times.append(t0 + i * dt)
+        times.append(i * dt)
         norms.append(float(np.linalg.norm(y)))
-        if weight is not None:
-            weighted.append(float(np.sqrt(np.sum(weight * np.abs(y) ** 2))))
+        weighted.append(float(np.sqrt(np.sum(weight * np.abs(y) ** 2))))
     return np.asarray(times), np.asarray(norms), np.asarray(weighted)
-
-
-@dataclass(frozen=True)
-class SliceTrajectory:
-    t: np.ndarray
-    norm: np.ndarray
-
-
-def evolve_slice(state: SliceState, dt: float,
-                 t_end: float) -> SliceTrajectory:
-    """RK4 trajectory of the restricted slice system.
-
-    Records the l2 norm of c at every step.  Requires
-    dt <= 0.1 / max row sum of the generator.
-    """
-    shell = SliceState(mp=state.mp, c=state.c, kappa=state.kappa)
-
-    def rhs(c):
-        shell.c = c
-        return slice_rhs(shell)
-
-    t, norm, _ = _slice_trajectory(rhs, state.c, state.t, dt, t_end,
-                                   _slice_max_dt(state))
-    return SliceTrajectory(t=t, norm=norm)
-
-
-# ---------------------------------------------------------------------------
-# general slice operator
 
 
 @dataclass
@@ -187,12 +106,13 @@ class FullSliceState:
     mp: ModeParams
     theta: np.ndarray
     kappa: float = 0.0
-    t: float = 0.0
 
     def __post_init__(self):
         th = np.asarray(self.theta, dtype=np.complex128)
         if th.ndim != 1 or th.size % 2 == 0:
             raise ValueError("theta must be 1-d with odd length 2P+1")
+        if self.kappa < 0:
+            raise ValueError("kappa must be non-negative")
         self.theta = th
 
     @property
@@ -252,7 +172,8 @@ def gronwall_constant(mp: ModeParams, steady: dict) -> float:
 
 def full_slice_max_dt(state: FullSliceState, steady: dict) -> float:
     """Largest dt evolve_full_slice accepts for this state and steady state:
-    0.1 over the generator's largest absolute row sum."""
+    0.1 over the generator's largest absolute row sum, leaving out the
+    k3 = 0 row, which full_slice_rhs holds at zero."""
     half = state.half
     n = np.arange(-half, half + 1)
     msym = _slice_symbols(state.mp, half)[0]
@@ -265,6 +186,7 @@ def full_slice_max_dt(state: FullSliceState, steady: dict) -> float:
         else:
             row[:d] += w * msym[-d:]
     row += state.kappa * (state.mp.ksq + n.astype(float) ** 2)
+    row[half] = 0.0
     return _max_dt(row)
 
 
@@ -298,7 +220,7 @@ def evolve_full_slice(state: FullSliceState, steady: dict, dt: float,
         return full_slice_rhs(shell, steady)
 
     t, norm, magnetic = _slice_trajectory(
-        rhs, state.theta, state.t, dt, t_end, full_slice_max_dt(state, steady),
+        rhs, state.theta, dt, t_end, full_slice_max_dt(state, steady),
         _slice_symbols(state.mp, state.half)[1])
     # diffusion only lowers the growth rate, so the kappa = 0 bound stands
     bound = 2.0 * gronwall_constant(state.mp, steady)
@@ -306,24 +228,23 @@ def evolve_full_slice(state: FullSliceState, steady: dict, dt: float,
                                rate_bound=bound)
 
 
-def embed_restricted(state: SliceState, half: int = None) -> FullSliceState:
-    """Lift restricted sine coefficients into the general slice profile.
+def embed_restricted(mp: ModeParams, c, kappa: float = 0.0) -> FullSliceState:
+    """Lift the sine coefficients c_p, p = 1..P, of one slice into the
+    general profile on k3 = -mP..mP.
 
     c_p sin(m p x3) contributes theta_hat(+mp) = -i c_p / 2 and
-    theta_hat(-mp) = +i c_p / 2.
+    theta_hat(-mp) = +i c_p / 2, so the profile's l2 norm is sqrt(1/2)
+    times that of c.  c must be real and 1-d with P >= 8, and kappa >= 0.
     """
-    m = state.mp.m
-    if half is None:
-        half = m * state.c.size
-    if half < m * state.c.size:
-        raise ValueError("half-width %d cannot hold %d sine modes of step %d"
-                         % (half, state.c.size, m))
+    c = np.asarray(c, dtype=float)
+    if c.ndim != 1 or c.size < 8:
+        raise ValueError("c must be a 1-d array with P >= 8")
+    half = mp.m * c.size
+    k3 = mp.m * np.arange(1, c.size + 1)
     th = np.zeros(2 * half + 1, dtype=np.complex128)
-    for p0, cp in enumerate(state.c):
-        p = p0 + 1
-        th[half + m * p] = -0.5j * cp
-        th[half - m * p] = 0.5j * cp
-    return FullSliceState(mp=state.mp, theta=th, kappa=state.kappa, t=state.t)
+    th[half + k3] = -0.5j * c
+    th[half - k3] = 0.5j * c
+    return FullSliceState(mp=mp, theta=th, kappa=kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -642,8 +563,7 @@ def evolve_nonlinear(theta0: SpectralField, kappa: float,
                 raise ValueError(
                     "horizon %.4g exceeds the analytic window %.4g "
                     "(tau0 = %.4g, K0 = %.4g)" % (t_end, t_star, tau0, k0))
-        tracker = GevreyTracker(tau0=tau0, k0=k0, r=settings.r,
-                                max_gap=2.0 * dt)
+        tracker = GevreyTracker(tau0=tau0, k0=k0, max_gap=2.0 * dt)
 
     # the integrating factor takes the diffusion out of the right-hand side
     e = np.exp(-solver.kappa * solver.ksq * (0.5 * dt)) \
@@ -763,8 +683,7 @@ def lipschitz_blowup_experiment(j_list, eps: float, t_probe: float,
 
         # linear surrogate on the slice
         p_keep = max(8, min(mode.truncation_P, n // m))
-        sl = SliceState(mp=mp, c=mode.c_tilde[:p_keep].copy())
-        fs = embed_restricted(sl)
+        fs = embed_restricted(mp, mode.c_tilde[:p_keep])
         lin = evolve_full_slice(fs, sine_steady_coeffs(a, m), dt, t_probe)
         ratio_lin = float(lin.norm[-1] / lin.norm[0])
 

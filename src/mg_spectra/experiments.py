@@ -342,14 +342,16 @@ def _run_slice_growth(params, tols, out_dir, threads):
     sigma = mode.sigma
     dt = params["dt"]
 
-    eigen_state = evolution.SliceState(mp=mp, c=mode.c_tilde.copy())
-    traj_e = evolution.evolve_slice(eigen_state, dt, 3.0 / sigma)
+    steady = evolution.sine_steady_coeffs(mp.a, mp.m)
+    traj_e = evolution.evolve_full_slice(
+        evolution.embed_restricted(mp, mode.c_tilde), steady, dt, 3.0 / sigma)
     fit_e = evolution.measure_growth_rate(traj_e.t, traj_e.norm,
                                           (0.0, 3.0 / sigma))
     rel_e = abs(fit_e.rate - sigma) / sigma
 
-    generic = evolution.SliceState(mp=mp, c=np.ones(big_p))
-    traj_g = evolution.evolve_slice(generic, dt, 8.0 / sigma)
+    traj_g = evolution.evolve_full_slice(
+        evolution.embed_restricted(mp, np.ones(big_p)), steady, dt,
+        8.0 / sigma)
     fit_g = evolution.measure_growth_rate(traj_g.t, traj_g.norm,
                                           (5.0 / sigma, 8.0 / sigma))
     rel_g = abs(fit_g.rate - sigma) / sigma
@@ -451,8 +453,7 @@ def _run_diffusive_sweep(params, tols, out_dir, threads):
 def _slice_rate_pair(mode, mp, kappa, slice_p):
     """theta and magnetic growth rates from the linear slice evolution."""
     keep = min(slice_p, mode.c_tilde.size)
-    full = evolution.embed_restricted(
-        evolution.SliceState(mp=mp, c=mode.c_tilde[:keep], kappa=kappa))
+    full = evolution.embed_restricted(mp, mode.c_tilde[:keep], kappa)
     steady = evolution.sine_steady_coeffs(mp.a, mp.m)
     t_end = 3.0 / mode.sigma
     dt = min(t_end / 60.0, evolution.full_slice_max_dt(full, steady))
@@ -529,8 +530,7 @@ def _run_gevrey_breakdown(params, tols, out_dir, threads):
                          tols["fit_rel"]))
 
     # refined ODE against the closed exponential form for a constant-free run
-    probe = fields.GevreyTracker(tau0=0.7, k0=2.0, r=params["r"], c_r=1.0,
-                                 max_gap=0.05)
+    probe = fields.GevreyTracker(tau0=0.7, k0=2.0, c_r=1.0, max_gap=0.05)
     for t in np.linspace(0.0, 1.0, 41):
         probe.append(float(t), 0.0)
     refined = fields.radius_ode_refined(probe)
@@ -541,8 +541,7 @@ def _run_gevrey_breakdown(params, tols, out_dir, threads):
                          tols["closed_form"]))
 
     # spike series must fail the continuation criterion
-    spike = fields.GevreyTracker(tau0=0.1, k0=1.0, r=params["r"], c_r=1.0,
-                                 max_gap=0.05)
+    spike = fields.GevreyTracker(tau0=0.1, k0=1.0, c_r=1.0, max_gap=0.05)
     for i, t in enumerate(np.linspace(0.0, 1.0, 41)):
         spike.append(float(t), 0.0 if t < 0.5 else 50.0)
     checks.append(_check("spike_fails_criterion",
@@ -561,11 +560,10 @@ def _run_gevrey_breakdown(params, tols, out_dir, threads):
                                       params["t_end"], settings=settings)
     tracker = traj.tracker
     refined_run = fields.radius_ode_refined(tracker)
-    tau_lin, t_star = fields.radius_ode_linear(tracker.tau0, tracker.k0,
-                                               tracker.c_r, tracker.t)
+    t_star = fields.radius_ode_linear(tracker.tau0, tracker.k0, tracker.c_r,
+                                      tracker.t)[1]
     acc = tracker.accumulated()
-    for t, av, accv, tl, tr in zip(tracker.t, tracker.a, acc, tau_lin,
-                                   refined_run.tau):
+    for t, accv, tr in zip(tracker.t, acc, refined_run.tau):
         rows.append({"series": "run", "x": float(t), "value": float(tr),
                      "extra": float(accv)})
     tracker_path = os.path.join(out_dir, "tracker.csv")
@@ -601,8 +599,7 @@ def _run_gevrey_breakdown(params, tols, out_dir, threads):
     agree = True
     for c_r in params["c_r_list"]:
         alt = fields.GevreyTracker(tau0=tracker.tau0, k0=tracker.k0,
-                                   r=tracker.r, c_r=float(c_r),
-                                   max_gap=tracker.max_gap)
+                                   c_r=float(c_r), max_gap=tracker.max_gap)
         for t, av in zip(tracker.t, tracker.a):
             alt.append(float(t), float(av))
         holds = fields.breakdown_criterion(alt)

@@ -33,16 +33,18 @@ class SpectralField:
     """Immutable Fourier coefficient array on the centered cube |k|_inf <= N.
 
     coeffs has shape (2N+1,)*dim with axis index i corresponding to
-    wavenumber k = i - N.  The field owns its frozen array: it copies a
-    writable input that the conversion left shared (a read-only one is
-    kept); build modified fields through new instances.
+    wavenumber k = i - N.  The field owns its frozen array: an input that
+    the conversion left shared is kept only when it is read-only and owns
+    its memory (a view could change through its base), and copied
+    otherwise; build modified fields through new instances.
     """
 
     coeffs: np.ndarray
 
     def __post_init__(self):
         c = np.ascontiguousarray(self.coeffs, dtype=np.complex128)
-        if c.flags.writeable and np.may_share_memory(c, self.coeffs):
+        if np.may_share_memory(c, self.coeffs) and (
+                c.flags.writeable or not c.flags.owndata):
             c = c.copy()
         if c.ndim not in (1, 2, 3):
             raise ValueError("field dimension must be 1, 2, or 3")
@@ -208,7 +210,6 @@ class GevreyTracker:
 
     tau0: float
     k0: float
-    r: float = 1.0
     c_r: float = 1.0
     max_gap: float = 0.1
     _t: list = field(default_factory=list, repr=False)

@@ -8,38 +8,36 @@ from dataclasses import dataclass, field
 class PhysicalParams:
     """Physical constants of the rotating magneto-convection model.
 
-    omega is the rotation rate, eta the magnetic diffusivity, beta the
-    strength of the imposed mean magnetic field, and kappa the buoyancy
-    diffusivity.  The combination mu = beta**2 / eta is the only way beta
-    and eta enter the velocity operator, so most routines consume mu.
+    omega is the rotation rate, eta the magnetic diffusivity and beta the
+    strength of the imposed mean magnetic field.  The combination
+    mu = beta**2 / eta is the only way beta and eta enter the velocity
+    operator, so most routines consume mu.  The buoyancy diffusivity kappa
+    is not a field: every solver takes it as an argument.
     """
 
     omega: float = 1.0
     eta: float = 1.0
     beta: float = 1.0
-    kappa: float = 0.0
     # mu as requested from from_mu, where beta**2 / eta rounds it
     _mu: float = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.omega <= 0 or self.eta <= 0 or self.beta <= 0:
             raise ValueError("omega, eta, beta must be positive")
-        if self.kappa < 0:
-            raise ValueError("kappa must be non-negative")
 
     @property
     def mu(self) -> float:
         return self.beta ** 2 / self.eta if self._mu is None else self._mu
 
     @classmethod
-    def from_mu(cls, omega: float = 1.0, mu: float = 1.0, kappa: float = 0.0) -> "PhysicalParams":
+    def from_mu(cls, omega: float = 1.0, mu: float = 1.0) -> "PhysicalParams":
         """Build params realizing a given mu with eta = 1 (so beta = sqrt(mu)).
 
         .mu returns the given mu exactly, though beta**2 may round it.
         """
         if mu <= 0:
             raise ValueError("mu must be positive")
-        phys = cls(omega=omega, eta=1.0, beta=mu ** 0.5, kappa=kappa)
+        phys = cls(omega=omega, eta=1.0, beta=mu ** 0.5)
         if phys.mu != mu:
             object.__setattr__(phys, "_mu", float(mu))
         return phys

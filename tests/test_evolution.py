@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from mg_spectra.params import ModeParams, PhysicalParams
@@ -13,67 +14,108 @@ UNIT = ModeParams()
 SIGMA_UNIT = 0.028619204092995829
 
 
+def _sine_generator(mp, big_p, kappa=0.0):
+    """Dense P x P generator of the sine coefficients c_p, p = 1..P:
+    dc_p/dt = -c_{p+1}/alpha_{p+1} - c_{p-1}/alpha_{p-1}
+              - kappa (k1^2 + k2^2 + m^2 p^2) c_p, truncated at P."""
+    inv = 1.0 / spectrum.alpha(np.arange(1, big_p + 1), mp)
+    p = np.arange(1, big_p + 1)
+    return -np.diag(inv[1:], 1) - np.diag(inv[:-1], -1) \
+        - np.diag(kappa * (mp.ksq + (mp.m * p) ** 2))
+
+
 def test_slice_rhs_hand_check():
-    # P = 8, only c_1 nonzero: dc_2/dt = -c_1/alpha_1, others untouched
-    st = ev.SliceState(mp=UNIT, c=np.array([1.0] + [0.0] * 7))
-    rhs = ev.slice_rhs(st)
-    assert rhs[0] == 0.0
-    assert rhs[1] == pytest.approx(-1.0 / 13.0)
-    assert np.all(rhs[2:] == 0.0)
+    # P = 8, only c_1 nonzero: dc_2/dt = -c_1/alpha_1, others untouched;
+    # the profile holds -i dc_p/dt / 2 at k3 = p, so dc_p/dt = 2i rhs(p)
+    steady = ev.sine_steady_coeffs(UNIT.a, UNIT.m)
+    c = np.array([1.0] + [0.0] * 7)
+    rhs = ev.full_slice_rhs(ev.embed_restricted(UNIT, c), steady)
+    dc = 2j * rhs[9:]
+    assert dc[0] == 0.0
+    assert dc[1] == pytest.approx(-1.0 / 13.0)
+    assert np.all(dc[2:] == 0.0)
+    assert rhs[8] == 0.0
+    assert np.array_equal(rhs, np.conj(rhs[::-1]))
     # diffusion adds -kappa (K + m^2 p^2) on the diagonal
-    st2 = ev.SliceState(mp=UNIT, c=np.array([1.0] + [0.0] * 7), kappa=0.5)
-    rhs2 = ev.slice_rhs(st2)
-    assert rhs2[0] == pytest.approx(-0.5 * 3.0)
+    rhs2 = ev.full_slice_rhs(ev.embed_restricted(UNIT, c, kappa=0.5), steady)
+    assert 2j * rhs2[9] == pytest.approx(-0.5 * 3.0)
 
 
 def test_evolve_slice_eigen_rate():
     mode = spectrum.solve_growth_rate(UNIT)
-    st = ev.SliceState(mp=UNIT, c=mode.c_tilde.copy())
-    traj = ev.evolve_slice(st, 0.05, 40.0)
+    traj = ev.evolve_full_slice(ev.embed_restricted(UNIT, mode.c_tilde),
+                                ev.sine_steady_coeffs(UNIT.a, UNIT.m),
+                                0.05, 40.0)
     fit = ev.measure_growth_rate(traj.t, traj.norm, (0.0, 40.0))
     assert fit.rate == pytest.approx(SIGMA_UNIT, rel=1e-10)
 
 
 def test_evolve_slice_dt_margin():
-    st = ev.SliceState(mp=UNIT, c=np.ones(16))
+    full = ev.embed_restricted(UNIT, np.ones(16))
     with pytest.raises(ValueError):
-        ev.evolve_slice(st, 5.0, 10.0)
+        ev.evolve_full_slice(full, ev.sine_steady_coeffs(UNIT.a, UNIT.m),
+                             5.0, 10.0)
 
 
 def test_evolve_slice_decay_with_strong_diffusion():
     # kappa large enough that no unstable root survives (kappa K > sigma*)
-    st = ev.SliceState(mp=UNIT, c=np.ones(16), kappa=0.05)
-    traj = ev.evolve_slice(st, 0.005, 0.5)
+    full = ev.embed_restricted(UNIT, np.ones(16), kappa=0.05)
+    traj = ev.evolve_full_slice(full, ev.sine_steady_coeffs(UNIT.a, UNIT.m),
+                                0.005, 0.5)
     assert traj.norm[-1] < traj.norm[0]
 
 
 def test_embed_extract_roundtrip():
-    st = ev.SliceState(mp=UNIT, c=np.arange(1.0, 9.0))
-    full = ev.embed_restricted(st)
+    c = np.arange(1.0, 9.0)
+    full = ev.embed_restricted(UNIT, c)
     # c_p sin(p x3) puts -i c_p/2 at k3 = +p and +i c_p/2 at k3 = -p
     half = full.half
     p = np.arange(1, 9)
-    assert np.array_equal(full.theta[half + p], -0.5j * st.c)
-    assert np.array_equal(full.theta[half - p], 0.5j * st.c)
+    assert half == 8
+    assert np.array_equal(full.theta[half + p], -0.5j * c)
+    assert np.array_equal(full.theta[half - p], 0.5j * c)
     # hermitian profile for a real restricted state
     th = full.theta
     assert np.allclose(th, np.conj(th[::-1]), atol=1e-15)
+    # step m: the sine modes sit at k3 = +-m p, the rest stays zero
+    mp = ModeParams(m=3)
+    th3 = ev.embed_restricted(mp, c).theta
+    assert th3.size == 2 * 3 * 8 + 1
+    assert np.array_equal(th3[24 + 3 * p], -0.5j * c)
+    assert np.count_nonzero(th3) == 16
 
 
-def test_full_slice_matches_restricted():
-    mode = spectrum.solve_growth_rate(UNIT)
-    keep = 24
-    st = ev.SliceState(mp=UNIT, c=mode.c_tilde[:keep].copy())
-    full = ev.embed_restricted(st)
-    steady = ev.sine_steady_coeffs(UNIT.a, UNIT.m)
-    dt, t_end = 0.05, 5.0
-    traj_r = ev.evolve_slice(st, dt, t_end)
-    traj_f = ev.evolve_full_slice(full, steady, dt, t_end)
-    # both trajectories track the same coefficients; norms differ by the
-    # embedding factor sqrt(2)/2
-    ratio = traj_f.norm / traj_r.norm
-    assert np.allclose(ratio, ratio[0], rtol=1e-12)
-    assert ratio[0] == pytest.approx(np.sqrt(0.5), rel=1e-12)
+@pytest.mark.parametrize("c, kappa", [
+    (np.ones(7), 0.0),
+    (np.ones((2, 8)), 0.0),
+    (np.ones(8), -1e-9),
+])
+def test_embed_restricted_rejects(c, kappa):
+    with pytest.raises(ValueError):
+        ev.embed_restricted(UNIT, c, kappa)
+
+
+def test_full_slice_state_rejects_negative_kappa():
+    # anti-diffusion would pass as a slice run that grows without bound
+    with pytest.raises(ValueError, match="kappa"):
+        ev.FullSliceState(mp=UNIT, theta=np.zeros(17), kappa=-1.0)
+
+
+@pytest.mark.parametrize("kappa, c, dt, t_end, rtol", [
+    pytest.param(0.0, "eigen", 0.05, 5.0, 1e-12, id="inviscid"),
+    pytest.param(0.05, "ones", 0.002, 0.5, 1e-7, id="diffusive"),
+])
+def test_full_slice_matches_expm(kappa, c, dt, t_end, rtol):
+    # the embedding halves the squared norm: ||c(t)|| = sqrt 2 ||theta(t)||
+    big_p = 24
+    c = spectrum.solve_growth_rate(UNIT).c_tilde[:big_p] \
+        if c == "eigen" else np.ones(big_p)
+    traj = ev.evolve_full_slice(ev.embed_restricted(UNIT, c, kappa),
+                                ev.sine_steady_coeffs(UNIT.a, UNIT.m),
+                                dt, t_end)
+    gen = _sine_generator(UNIT, big_p, kappa)
+    exact = [np.linalg.norm(scipy.linalg.expm(t * gen) @ c) for t in traj.t]
+    assert np.allclose(np.sqrt(2.0) * traj.norm, exact, rtol=rtol, atol=0.0)
 
 
 def test_full_slice_magnetic_norm():
@@ -91,12 +133,26 @@ def test_full_slice_magnetic_norm():
 
 
 def test_full_slice_max_dt_is_the_stability_margin():
-    full = ev.embed_restricted(ev.SliceState(mp=UNIT, c=np.ones(8)))
+    full = ev.embed_restricted(UNIT, np.ones(8))
     steady = ev.sine_steady_coeffs(UNIT.a, UNIT.m)
     limit = ev.full_slice_max_dt(full, steady)
     ev.evolve_full_slice(full, steady, limit, 10.0 * limit)
     with pytest.raises(ValueError, match="stability margin"):
         ev.evolve_full_slice(full, steady, 1.01 * limit, 10.0 * limit)
+
+
+@pytest.mark.parametrize("mp, kappa", [
+    (UNIT, 0.0), (UNIT, 1e-3), (ModeParams(a=2.0, k1=5, k2=2), 0.0),
+])
+def test_full_slice_max_dt_matches_sine_generator(mp, kappa):
+    # the k3 = 0 row is held at zero, so it sets no step limit: the margin
+    # is the one of the sine generator, 0.1 over its largest row sum
+    mode = spectrum.solve_growth_rate(mp)
+    full = ev.embed_restricted(mp, mode.c_tilde, kappa)
+    gen = _sine_generator(mp, mode.c_tilde.size, kappa)
+    limit = ev.full_slice_max_dt(full, ev.sine_steady_coeffs(mp.a, mp.m))
+    assert limit == pytest.approx(0.1 / np.abs(gen).sum(axis=1).max(),
+                                  rel=1e-14)
 
 
 def test_sine_steady_coeffs():

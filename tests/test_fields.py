@@ -43,6 +43,16 @@ def test_field_owns_its_array():
     assert SpectralField(f.coeffs).coeffs is f.coeffs
 
 
+def test_field_copies_a_read_only_view():
+    # a read-only view of a writable array would change with its base
+    base = np.zeros((3, 3, 3), dtype=complex)
+    view = base.view()
+    view.flags.writeable = False
+    f = SpectralField(view)
+    base[0, 0, 0] = 1.0
+    assert f.coeffs[0, 0, 0] == 0.0
+
+
 def test_from_modes_and_getitem():
     f = _pair_field()
     assert f[(1, 0, 1)] == 0.5

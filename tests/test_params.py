@@ -9,7 +9,6 @@ def test_defaults():
     assert phys.omega == 1.0
     assert phys.eta == 1.0
     assert phys.beta == 1.0
-    assert phys.kappa == 0.0
     assert phys.mu == 1.0
 
 
@@ -25,6 +24,14 @@ def test_from_mu():
     assert phys.eta == 1.0
 
 
+def test_kappa_is_not_a_physical_param():
+    # every solver takes kappa as an argument; a field would be ignored
+    with pytest.raises(TypeError):
+        PhysicalParams(kappa=0.1)
+    with pytest.raises(TypeError):
+        PhysicalParams.from_mu(mu=2.0, kappa=0.1)
+
+
 @given(mu=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
 def test_from_mu_is_exact(mu):
     # beta = sqrt(mu) squares back to mu only up to rounding
@@ -36,7 +43,6 @@ def test_from_mu_is_exact(mu):
     {"omega": -1.0},
     {"eta": 0.0},
     {"beta": 0.0},
-    {"kappa": -1e-9},
 ])
 def test_physical_validation(kwargs):
     with pytest.raises(ValueError):
