@@ -1,9 +1,11 @@
 """Time integration for the MG equation at two levels of reduction.
 
-1. The (k1, k2) Fourier slice: the linearization about a sin(m x3) acting
-   on complex vertical profiles theta_hat(k3), driven by the convolution
-   with the steady-state gradient.  Sine coefficients c_p, the basis of
-   the eigenvalue recursion, enter through embed_restricted.
+1. The (k1, k2) Fourier slice: the linearization about Theta0 = a sin(m x3),
+   with a, m, k1, k2 and the physical constants all read from one
+   ModeParams, acting on complex vertical profiles theta_hat(k3).  The
+   gradient of Theta0 couples k3 to k3 -+ m, so the generator is two
+   cached bands plus the diffusive diagonal.  Sine coefficients c_p, the
+   basis of the eigenvalue recursion, enter through embed_restricted.
 2. The full nonlinear pseudo-spectral solver for
    d Theta/dt + U . grad Theta = S + kappa Lap Theta,   U_j = M_j Theta,
    with 2/3-rule dealiasing, explicit or integrating-factor diffusion, and
@@ -68,40 +70,10 @@ def _rk4_step(rhs, y, dt: float, k1, e=None):
 # general slice operator
 
 
-def _max_dt(row: np.ndarray) -> float:
-    """Largest explicit RK4 step for a generator with absolute row sums row."""
-    return 0.1 / max(float(row.max()), 1e-300)
-
-
-def _slice_trajectory(rhs, y0: np.ndarray, dt: float, t_end: float,
-                      max_dt: float, weight: np.ndarray):
-    """Explicit RK4 run of a linear slice system: (times, norms, weighted).
-
-    Requires dt <= max_dt.  Records at every step the l2 norm and the
-    weighted norm sqrt(sum w |y|^2); a non-finite state raises
-    DivergenceError.
-    """
-    if dt <= 0 or t_end <= 0:
-        raise ValueError("dt and t_end must be positive")
-    if dt > max_dt:
-        raise ValueError("dt = %g exceeds the stability margin %g"
-                         % (dt, max_dt))
-    y = y0.copy()
-    times, norms, weighted = [], [], []
-    for i in range(int(round(t_end / dt)) + 1):
-        if i:
-            y = _rk4_step(rhs, y, dt, rhs(y))
-            if not np.all(np.isfinite(y)):
-                raise DivergenceError(i)
-        times.append(i * dt)
-        norms.append(float(np.linalg.norm(y)))
-        weighted.append(float(np.sqrt(np.sum(weight * np.abs(y) ** 2))))
-    return np.asarray(times), np.asarray(norms), np.asarray(weighted)
-
-
 @dataclass
 class FullSliceState:
-    """Complex vertical profile theta_hat(k3), k3 = -P..P, on one slice."""
+    """Complex vertical profile theta_hat(k3), k3 = -P..P, on one slice,
+    with zero vertical mean: theta_hat(0) = 0 to 1e-13 of max |theta_hat|."""
 
     mp: ModeParams
     theta: np.ndarray
@@ -113,6 +85,9 @@ class FullSliceState:
             raise ValueError("theta must be 1-d with odd length 2P+1")
         if self.kappa < 0:
             raise ValueError("kappa must be non-negative")
+        if abs(th[th.size // 2]) > 1e-13 * max(float(np.abs(th).max()),
+                                                 1e-300):
+            raise ValueError("theta must have zero vertical mean")
         self.theta = th
 
     @property
@@ -120,74 +95,67 @@ class FullSliceState:
         return self.theta.size // 2
 
 
-def sine_steady_coeffs(a: float, m: int) -> dict:
-    """Vertical Fourier coefficients of a sin(m x3)."""
-    return {m: -0.5j * a, -m: 0.5j * a}
-
-
 @functools.lru_cache(maxsize=16)
 def _slice_symbols(mp: ModeParams, half: int):
-    """(M3, sum_j |b_j|^2) on the slice profile k3 = -half..half, read-only."""
-    k = (mp.k1, mp.k2, np.arange(-half, half + 1))
-    m3 = m_symbol(k, mp.phys)[2]
-    b2 = np.sum(np.abs(b_symbol(k, mp.phys)) ** 2, axis=0)
-    m3.flags.writeable = b2.flags.writeable = False
-    return m3, b2
+    """Read-only profiles of the slice generator on k3 = -half..half.
 
-
-def full_slice_rhs(state: FullSliceState, steady: dict) -> np.ndarray:
-    """d theta_hat(k3)/dt for the linearization about the given steady state.
-
-    rhs(k3) = - sum_d i d Theta0_hat(d) M3(k1,k2,k3-d) theta_hat(k3-d)
-              - kappa (k1^2 + k2^2 + k3^2) theta_hat(k3),
-    with the k3 = 0 row forced to zero (zero vertical mean).
+    (lower, upper, ksq, b2): the bands (m a / 2) M3(k1, k2, k3 -+ m) that
+    couple target k3 to source k3 -+ m, over the targets k3 >= m - half and
+    k3 <= half - m; k1^2 + k2^2 + k3^2; and sum_j |b_j(k1, k2, k3)|^2.
     """
-    th = state.theta
-    half = state.half
-    n = np.arange(-half, half + 1)
-    msym = _slice_symbols(state.mp, half)[0]
-    rhs = np.zeros_like(th)
-    for d, coeff in steady.items():
-        d = int(d)
-        w = 1j * d * coeff
-        if d >= 0:
-            # target k3 index j receives source index j - d
-            rhs[d:] -= w * msym[: th.size - d] * th[: th.size - d]
-        else:
-            rhs[:d] -= w * msym[-d:] * th[-d:]
-    if state.kappa:
-        rhs -= state.kappa * (state.mp.ksq + n.astype(float) ** 2) * th
+    k3 = np.arange(-half, half + 1)
+    k = (mp.k1, mp.k2, k3)
+    m3 = 0.5 * mp.m * mp.a * m_symbol(k, mp.phys)[2]
+    out = (m3[:k3.size - mp.m], m3[mp.m:], mp.ksq + k3.astype(float) ** 2,
+           np.sum(np.abs(b_symbol(k, mp.phys)) ** 2, axis=0))
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
+def full_slice_rhs(mp: ModeParams, theta: np.ndarray,
+                   kappa: float) -> np.ndarray:
+    """d theta_hat(k3)/dt for the linearization about a sin(m x3):
+
+    rhs(k3) = - (m a / 2) [M3(k3 - m) theta_hat(k3 - m)
+                           + M3(k3 + m) theta_hat(k3 + m)]
+              - kappa (k1^2 + k2^2 + k3^2) theta_hat(k3),
+    with M3 taken at (k1, k2) and the k3 = 0 row forced to zero (zero
+    vertical mean).
+    """
+    half = theta.size // 2
+    lower, upper, ksq, _ = _slice_symbols(mp, half)
+    rhs = np.zeros_like(theta)
+    rhs[mp.m:] -= lower * theta[:lower.size]
+    rhs[:upper.size] -= upper * theta[mp.m:]
+    if kappa:
+        rhs -= kappa * ksq * theta
     rhs[half] = 0.0
     return rhs
 
 
-def gronwall_constant(mp: ModeParams, steady: dict) -> float:
+def gronwall_constant(mp: ModeParams) -> float:
     """Growth-rate bound for the slice L2 norm:
-    (mu k2^2 / (4 Omega^2)) (pi^2/(3 sqrt 5)) ||d3 Theta0||."""
+    (mu k2^2 / (4 Omega^2)) (pi^2/(3 sqrt 5)) ||d3 Theta0||, where
+    ||d3 Theta0|| = m a / sqrt 2 in coefficient l2."""
     om, mu = mp.phys.omega, mp.phys.mu
-    grad_norm = math.sqrt(sum(abs(d * v) ** 2 for d, v in steady.items()))
+    grad_norm = mp.m * mp.a / math.sqrt(2.0)
     return mu * mp.k2 ** 2 / (4.0 * om * om) \
         * math.pi ** 2 / (3.0 * math.sqrt(5.0)) * grad_norm
 
 
-def full_slice_max_dt(state: FullSliceState, steady: dict) -> float:
-    """Largest dt evolve_full_slice accepts for this state and steady state:
-    0.1 over the generator's largest absolute row sum, leaving out the
-    k3 = 0 row, which full_slice_rhs holds at zero."""
-    half = state.half
-    n = np.arange(-half, half + 1)
-    msym = _slice_symbols(state.mp, half)[0]
-    row = np.zeros(state.theta.size)
-    for d, coeff in steady.items():
-        d = int(d)
-        w = abs(d * coeff)
-        if d >= 0:
-            row[d:] += w * msym[: row.size - d]
-        else:
-            row[:d] += w * msym[-d:]
-    row += state.kappa * (state.mp.ksq + n.astype(float) ** 2)
-    row[half] = 0.0
-    return _max_dt(row)
+def full_slice_max_dt(state: FullSliceState) -> float:
+    """Largest dt evolve_full_slice accepts for this state: 0.1 over the
+    generator's largest absolute row sum, leaving out the k3 = 0 row,
+    which full_slice_rhs holds at zero."""
+    mp = state.mp
+    lower, upper, ksq, _ = _slice_symbols(mp, state.half)
+    row = np.zeros(ksq.size)
+    row[mp.m:] += np.abs(lower)
+    row[:upper.size] += np.abs(upper)
+    row += state.kappa * ksq
+    row[state.half] = 0.0
+    return 0.1 / max(float(row.max()), 1e-300)
 
 
 @dataclass(frozen=True)
@@ -204,28 +172,41 @@ class FullSliceTrajectory:
         return np.diff(ln) / np.diff(self.t)
 
 
-def evolve_full_slice(state: FullSliceState, steady: dict, dt: float,
+def evolve_full_slice(state: FullSliceState, dt: float,
                       t_end: float) -> FullSliceTrajectory:
-    """RK4 trajectory of the general slice operator.
+    """Explicit RK4 trajectory of the general slice operator.
 
-    Tracks the slice l2 norm and the norm of the induced magnetic field,
-    sqrt(sum |b(k1, k2, k3)|^2 |theta_hat(k3)|^2), and reports the
-    Gronwall rate bound 2 * gronwall_constant (for d/dt of the squared
-    norm) alongside them.  Requires dt <= full_slice_max_dt.
+    Records at every step the slice l2 norm and the norm of the induced
+    magnetic field, sqrt(sum |b(k1, k2, k3)|^2 |theta_hat(k3)|^2), and
+    reports the Gronwall rate bound 2 * gronwall_constant (for d/dt of the
+    squared norm) alongside them.  Requires dt <= full_slice_max_dt; a
+    non-finite state raises DivergenceError.
     """
-    shell = FullSliceState(mp=state.mp, theta=state.theta, kappa=state.kappa)
+    if dt <= 0 or t_end <= 0:
+        raise ValueError("dt and t_end must be positive")
+    limit = full_slice_max_dt(state)
+    if dt > limit:
+        raise ValueError("dt = %g exceeds the stability margin %g"
+                         % (dt, limit))
+    mp, kappa = state.mp, state.kappa
+    b2 = _slice_symbols(mp, state.half)[3]
 
     def rhs(th):
-        shell.theta = th
-        return full_slice_rhs(shell, steady)
+        return full_slice_rhs(mp, th, kappa)
 
-    t, norm, magnetic = _slice_trajectory(
-        rhs, state.theta, dt, t_end, full_slice_max_dt(state, steady),
-        _slice_symbols(state.mp, state.half)[1])
+    y = state.theta
+    rows = []
+    for i in range(int(round(t_end / dt)) + 1):
+        if i:
+            y = _rk4_step(rhs, y, dt, rhs(y))
+            if not np.all(np.isfinite(y)):
+                raise DivergenceError(i)
+        rows.append((i * dt, float(np.linalg.norm(y)),
+                     float(np.sqrt(np.sum(b2 * np.abs(y) ** 2)))))
+    t, norm, magnetic = (np.asarray(col) for col in zip(*rows))
     # diffusion only lowers the growth rate, so the kappa = 0 bound stands
-    bound = 2.0 * gronwall_constant(state.mp, steady)
     return FullSliceTrajectory(t=t, norm=norm, magnetic_norm=magnetic,
-                               rate_bound=bound)
+                               rate_bound=2.0 * gronwall_constant(mp))
 
 
 def embed_restricted(mp: ModeParams, c, kappa: float = 0.0) -> FullSliceState:
@@ -254,10 +235,7 @@ def embed_restricted(mp: ModeParams, c, kappa: float = 0.0) -> FullSliceState:
 @dataclass(frozen=True)
 class GrowthFit:
     rate: float
-    intercept: float
     residual_rms: float
-    n_samples: int
-    window: tuple
 
 
 def measure_growth_rate(t, norm, window: tuple) -> GrowthFit:
@@ -276,9 +254,8 @@ def measure_growth_rate(t, norm, window: tuple) -> GrowthFit:
     x = np.column_stack([ts, np.ones_like(ts)])
     beta, *_ = np.linalg.lstsq(x, ys, rcond=None)
     resid = ys - x @ beta
-    return GrowthFit(rate=float(beta[0]), intercept=float(beta[1]),
-                     residual_rms=float(np.sqrt(np.mean(resid ** 2))),
-                     n_samples=int(np.sum(sel)), window=(float(lo), float(hi)))
+    return GrowthFit(rate=float(beta[0]),
+                     residual_rms=float(np.sqrt(np.mean(resid ** 2))))
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +661,7 @@ def lipschitz_blowup_experiment(j_list, eps: float, t_probe: float,
         # linear surrogate on the slice
         p_keep = max(8, min(mode.truncation_P, n // m))
         fs = embed_restricted(mp, mode.c_tilde[:p_keep])
-        lin = evolve_full_slice(fs, sine_steady_coeffs(a, m), dt, t_probe)
+        lin = evolve_full_slice(fs, dt, t_probe)
         ratio_lin = float(lin.norm[-1] / lin.norm[0])
 
         rows.append(LipschitzRow(j=int(j), sigma=mode.sigma,

@@ -96,11 +96,30 @@ _SCHEMAS = {
 }
 
 
+def _number(path: str, default, value):
+    """A config number as the type of its schema default, int or float.
+
+    JSON true and false are not numbers, an integer field takes only
+    integral values, and a float field only finite ones.
+    """
+    integral = isinstance(default, int)
+    try:
+        ok = not isinstance(value, bool) and math.isfinite(value) \
+            and (not integral or float(value).is_integer())
+    except (TypeError, OverflowError):  # not a number, or beyond a float
+        ok = False
+    if not ok:
+        raise ExperimentError("%s: expected %s" % (
+            path, "an integer" if integral else "a finite number"))
+    return int(value) if integral else float(value)
+
+
 def validate_config(name: str, config: dict):
     """Merge a raw config dict over the experiment defaults.
 
     Unknown fields, wrong types, and non-positive tolerance overrides are
-    rejected with the field path in the message.
+    rejected with the field path in the message, down to the list entry
+    (params.j_list[0]).
     """
     if name not in _SCHEMAS:
         raise ExperimentError("unknown experiment %r" % name)
@@ -123,30 +142,18 @@ def validate_config(name: str, config: dict):
         for key, value in overrides.items():
             if key not in merged:
                 raise ExperimentError("%s.%s: unknown field" % (section, key))
+            path = "%s.%s" % (section, key)
             default = merged[key]
             if isinstance(default, list):
                 if not isinstance(value, list) or not value:
-                    raise ExperimentError(
-                        "%s.%s: expected a non-empty list" % (section, key))
-                value = [type(default[0])(v) for v in value]
-            elif isinstance(default, bool):
-                if not isinstance(value, bool):
-                    raise ExperimentError("%s.%s: expected a boolean"
-                                          % (section, key))
-            elif isinstance(default, int) and not isinstance(default, bool):
-                if not isinstance(value, (int, float)) or value != int(value):
-                    raise ExperimentError("%s.%s: expected an integer"
-                                          % (section, key))
-                value = int(value)
-            elif isinstance(default, float):
-                if not isinstance(value, (int, float)):
-                    raise ExperimentError("%s.%s: expected a number"
-                                          % (section, key))
-                value = float(value)
-            if section == "tolerances":
-                if not isinstance(value, (int, float)) or value <= 0:
-                    raise ExperimentError("%s.%s: tolerance must be positive"
-                                          % (section, key))
+                    raise ExperimentError("%s: expected a non-empty list"
+                                          % path)
+                value = [_number("%s[%d]" % (path, i), default[0], v)
+                         for i, v in enumerate(value)]
+            else:
+                value = _number(path, default, value)
+            if section == "tolerances" and value <= 0:
+                raise ExperimentError("%s: tolerance must be positive" % path)
             merged[key] = value
         out[section] = merged
     return out["params"], out["tolerances"]
@@ -342,16 +349,14 @@ def _run_slice_growth(params, tols, out_dir, threads):
     sigma = mode.sigma
     dt = params["dt"]
 
-    steady = evolution.sine_steady_coeffs(mp.a, mp.m)
     traj_e = evolution.evolve_full_slice(
-        evolution.embed_restricted(mp, mode.c_tilde), steady, dt, 3.0 / sigma)
+        evolution.embed_restricted(mp, mode.c_tilde), dt, 3.0 / sigma)
     fit_e = evolution.measure_growth_rate(traj_e.t, traj_e.norm,
                                           (0.0, 3.0 / sigma))
     rel_e = abs(fit_e.rate - sigma) / sigma
 
     traj_g = evolution.evolve_full_slice(
-        evolution.embed_restricted(mp, np.ones(big_p)), steady, dt,
-        8.0 / sigma)
+        evolution.embed_restricted(mp, np.ones(big_p)), dt, 8.0 / sigma)
     fit_g = evolution.measure_growth_rate(traj_g.t, traj_g.norm,
                                           (5.0 / sigma, 8.0 / sigma))
     rel_g = abs(fit_g.rate - sigma) / sigma
@@ -454,10 +459,9 @@ def _slice_rate_pair(mode, mp, kappa, slice_p):
     """theta and magnetic growth rates from the linear slice evolution."""
     keep = min(slice_p, mode.c_tilde.size)
     full = evolution.embed_restricted(mp, mode.c_tilde[:keep], kappa)
-    steady = evolution.sine_steady_coeffs(mp.a, mp.m)
     t_end = 3.0 / mode.sigma
-    dt = min(t_end / 60.0, evolution.full_slice_max_dt(full, steady))
-    traj = evolution.evolve_full_slice(full, steady, dt, t_end)
+    dt = min(t_end / 60.0, evolution.full_slice_max_dt(full))
+    traj = evolution.evolve_full_slice(full, dt, t_end)
     window = (t_end / 3.0, t_end)
     return tuple(evolution.measure_growth_rate(traj.t, norm, window).rate
                  for norm in (traj.norm, traj.magnetic_norm))

@@ -3,7 +3,7 @@
 A field is stored by its Fourier coefficients on the centered cube
 |k|_inf <= N, so Theta(x) = sum_k c(k) exp(i k.x).  All norms below are
 coefficient norms: the l2 norm sqrt(sum |c(k)|^2) equals the L2 norm of
-Theta divided by (2 pi)^{dim/2}.  The Gevrey norm squared is
+Theta divided by (2 pi)^{3/2}.  The Gevrey norm squared is
 
     sum_k |k|^{2r} exp(2 tau |k|) |c(k)|^2
 
@@ -32,7 +32,7 @@ class SamplingError(ValueError):
 class SpectralField:
     """Immutable Fourier coefficient array on the centered cube |k|_inf <= N.
 
-    coeffs has shape (2N+1,)*dim with axis index i corresponding to
+    coeffs has shape (2N+1,)*3 with axis index i corresponding to
     wavenumber k = i - N.  The field owns its frozen array: an input that
     the conversion left shared is kept only when it is read-only and owns
     its memory (a view could change through its base), and copied
@@ -46,44 +46,42 @@ class SpectralField:
         if np.may_share_memory(c, self.coeffs) and (
                 c.flags.writeable or not c.flags.owndata):
             c = c.copy()
-        if c.ndim not in (1, 2, 3):
-            raise ValueError("field dimension must be 1, 2, or 3")
-        side = c.shape[0]
-        if side % 2 == 0 or any(s != side for s in c.shape):
-            raise ValueError("coefficient array must be a cube with odd side")
+        if c.ndim != 3 or len(set(c.shape)) != 1 or c.shape[0] % 2 == 0:
+            raise ValueError("coefficient array must be a 3-d cube with odd "
+                             "side")
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
-
-    @property
-    def dim(self) -> int:
-        return self.coeffs.ndim
 
     @property
     def n(self) -> int:
         return self.coeffs.shape[0] // 2
 
     @classmethod
-    def from_modes(cls, n: int, modes: dict, dim: int = 3) -> "SpectralField":
-        """Build a field from {wavevector tuple: coefficient}."""
-        c = np.zeros((2 * n + 1,) * dim, dtype=np.complex128)
+    def from_modes(cls, n: int, modes: dict) -> "SpectralField":
+        """Build a field from {(k1, k2, k3): coefficient}."""
+        c = np.zeros((2 * n + 1,) * 3, dtype=np.complex128)
         for k, v in modes.items():
-            k = tuple(int(x) for x in (k if isinstance(k, tuple) else (k,)))
-            if len(k) != dim:
-                raise ValueError("wavevector %r does not have dim=%d" % (k, dim))
-            if any(abs(x) > n for x in k):
-                raise ValueError("wavevector %r outside |k|_inf <= %d" % (k, n))
-            c[tuple(x + n for x in k)] = v
+            c[_index(k, n)] = v
         return cls(c)
 
     def wavenumbers(self) -> np.ndarray:
         """|k| on the coefficient grid."""
         n = self.n
-        axes = np.meshgrid(*([np.arange(-n, n + 1)] * self.dim), indexing="ij")
+        axes = np.meshgrid(*([np.arange(-n, n + 1)] * 3), indexing="ij")
         return np.sqrt(sum(a.astype(float) ** 2 for a in axes))
 
     def __getitem__(self, k) -> complex:
-        k = tuple(int(x) for x in (k if isinstance(k, tuple) else (k,)))
-        return complex(self.coeffs[tuple(x + self.n for x in k)])
+        return complex(self.coeffs[_index(k, self.n)])
+
+
+def _index(k, n: int) -> tuple:
+    """Array index of the wavevector k = (k1, k2, k3) on the cube
+    |k_i| <= n; a k outside it raises rather than wrap around."""
+    k = tuple(int(x) for x in k)
+    if len(k) != 3 or any(abs(x) > n for x in k):
+        raise ValueError("wavevector %r is not a triple inside |k|_inf <= %d"
+                         % (k, n))
+    return tuple(x + n for x in k)
 
 
 def sobolev_a(fld: SpectralField, s: float = 1.5) -> float:
@@ -132,12 +130,14 @@ class RadiusEstimate:
     slope: float
     intercept: float
 
-    def __float__(self) -> float:
-        return self.radius
+
+# shells at or below this magnitude are left out of the decay fit
+_SHELL_FLOOR = 1e-14
+# fewest shells above the floor a decay fit is made from
+_MIN_SHELLS = 6
 
 
-def radius_estimate(fld: SpectralField, *, floor: float = 1e-14,
-                    min_shells: int = 6) -> RadiusEstimate:
+def radius_estimate(fld: SpectralField) -> RadiusEstimate:
     """Estimate the analyticity radius from shell-wise coefficient decay.
 
     Coefficients are grouped into integer shells by rounding |k|; each
@@ -148,7 +148,7 @@ def radius_estimate(fld: SpectralField, *, floor: float = 1e-14,
 
     A trailing run of >= 3 exact-zero shells marks a trigonometric
     polynomial: the field is entire and radius = +inf.  Fewer than
-    min_shells shells above floor raise InsufficientShellsError.
+    _MIN_SHELLS shells above _SHELL_FLOOR raise InsufficientShellsError.
     """
     kn = fld.wavenumbers().ravel()
     mag = np.abs(fld.coeffs.ravel())
@@ -179,11 +179,11 @@ def radius_estimate(fld: SpectralField, *, floor: float = 1e-14,
                               shells=int(np.sum(cstar > 0)), slope=0.0,
                               intercept=0.0)
 
-    use = cstar > floor
-    if int(np.sum(use)) < min_shells:
+    use = cstar > _SHELL_FLOOR
+    if int(np.sum(use)) < _MIN_SHELLS:
         raise InsufficientShellsError(
-            "only %d shells above %g, need %d" % (int(np.sum(use)), floor, min_shells)
-        )
+            "only %d shells above %g, need %d"
+            % (int(np.sum(use)), _SHELL_FLOOR, _MIN_SHELLS))
     r = rstar[use]
     y = np.log(cstar[use])
     x = np.column_stack([np.ones_like(r), r, np.log(r)])
@@ -299,37 +299,26 @@ def radius_ode_refined(tracker: GevreyTracker) -> RefinedRadius:
     return RefinedRadius(t=t, tau=tau, max_step=gap)
 
 
-def breakdown_criterion(tracker: GevreyTracker, t_end: float = None) -> bool:
+def breakdown_criterion(tracker: GevreyTracker) -> bool:
     """Continuation test on the accumulated quantity A.
 
     Returns True when  tau0 / c_r > A(T) * exp(c_r k0 int_0^T exp(-A) dt)
-    holds strictly, i.e. the analytic solution continues past T.  T
-    defaults to the last recorded sample.  A identically zero gives True
-    for every T; a large enough spike in a gives False.
+    holds strictly at the last recorded sample T, i.e. the analytic
+    solution continues past T.  A identically zero gives True; a large
+    enough spike in a gives False.
     """
     t = tracker.t
     if len(t) < 2:
         raise SamplingError("need at least two samples")
     acc = tracker.accumulated()
-    if t_end is None:
-        t_end = float(t[-1])
-    if t_end > t[-1] + 1e-12:
-        raise ValueError("t_end exceeds the recorded trajectory")
-    sel = t <= t_end + 1e-12
-    ts, accs = t[sel], acc[sel]
-    a_t = float(np.interp(t_end, t, acc))
-    integral = float(_cumtrapz(np.exp(-accs), ts)[-1])
-    rhs = a_t * np.exp(tracker.c_r * tracker.k0 * integral)
+    integral = float(_cumtrapz(np.exp(-acc), t)[-1])
+    rhs = float(acc[-1]) * np.exp(tracker.c_r * tracker.k0 * integral)
     return bool(tracker.tau0 / tracker.c_r > rhs)
 
 
-def tracker_to_csv(tracker: GevreyTracker, path, tau: np.ndarray = None) -> None:
-    """Dump the tracker as rows t,a,A,tau.
-
-    tau defaults to the refined radius ODE solution on the recorded grid.
-    """
-    if tau is None:
-        tau = radius_ode_refined(tracker).tau
+def tracker_to_csv(tracker: GevreyTracker, path, tau: np.ndarray) -> None:
+    """Dump the tracker as rows t,a,A,tau, with tau given on the recorded
+    grid (the refined radius ODE solution, say)."""
     t = tracker.t
     a = tracker.a
     acc = tracker.accumulated()

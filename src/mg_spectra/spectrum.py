@@ -198,7 +198,7 @@ class UnstableMode:
     c_tilde follows the normalization c_1 = alpha_1, c_p = alpha_p eta_p
     ... eta_2 with eta_p = -F_p(sigma*); entries alternate in sign and decay
     superfactorially, underflowing to zero around p = 66 for unit
-    parameters.  log_c_tilde carries log |c_p| past the underflow.
+    parameters.
     """
 
     params: ModeParams
@@ -208,7 +208,6 @@ class UnstableMode:
     bracket_hi: float
     eta: np.ndarray          # eta_p, p = 2..P
     c_tilde: np.ndarray      # c_p, p = 1..P
-    log_c_tilde: np.ndarray  # log |c_p|, p = 1..P
     truncation_P: int
     residual: float
 
@@ -227,7 +226,7 @@ def _unstable_mode(mp: ModeParams, kappa: float, sigma: float, lo: float,
     with np.errstate(under="ignore"):
         c = sign * np.exp(log_c)
     return UnstableMode(params=mp, kappa=kappa, sigma=sigma, bracket_lo=lo,
-                        bracket_hi=hi, eta=eta, c_tilde=c, log_c_tilde=log_c,
+                        bracket_hi=hi, eta=eta, c_tilde=c,
                         truncation_P=P, residual=residual)
 
 

@@ -246,9 +246,8 @@ def test_criterion_10_lipschitz_blowup(capsys, tmp_path):
 
 def test_criterion_11_uniqueness_gronwall(capsys):
     start = time.monotonic()
-    steady = ev.sine_steady_coeffs(UNIT.a, UNIT.m)
     zero = ev.FullSliceState(mp=UNIT, theta=np.zeros(33, dtype=complex))
-    traj0 = ev.evolve_full_slice(zero, steady, 0.05, 2.0)
+    traj0 = ev.evolve_full_slice(zero, 0.05, 2.0)
     zero_max = float(max(np.max(traj0.norm), np.max(traj0.magnetic_norm)))
     rng = np.random.default_rng(23)
     worst_excess = -np.inf
@@ -256,7 +255,7 @@ def test_criterion_11_uniqueness_gronwall(capsys):
         th = rng.standard_normal(33) + 1j * rng.standard_normal(33)
         th[16] = 0.0
         st = ev.FullSliceState(mp=UNIT, theta=th)
-        traj = ev.evolve_full_slice(st, steady, 0.05, 3.0)
+        traj = ev.evolve_full_slice(st, 0.05, 3.0)
         excess = float(np.max(traj.log_derivative()) - traj.rate_bound)
         worst_excess = max(worst_excess, excess)
     elapsed = time.monotonic() - start

@@ -27,9 +27,8 @@ def _sine_generator(mp, big_p, kappa=0.0):
 def test_slice_rhs_hand_check():
     # P = 8, only c_1 nonzero: dc_2/dt = -c_1/alpha_1, others untouched;
     # the profile holds -i dc_p/dt / 2 at k3 = p, so dc_p/dt = 2i rhs(p)
-    steady = ev.sine_steady_coeffs(UNIT.a, UNIT.m)
     c = np.array([1.0] + [0.0] * 7)
-    rhs = ev.full_slice_rhs(ev.embed_restricted(UNIT, c), steady)
+    rhs = ev.full_slice_rhs(UNIT, ev.embed_restricted(UNIT, c).theta, 0.0)
     dc = 2j * rhs[9:]
     assert dc[0] == 0.0
     assert dc[1] == pytest.approx(-1.0 / 13.0)
@@ -37,14 +36,13 @@ def test_slice_rhs_hand_check():
     assert rhs[8] == 0.0
     assert np.array_equal(rhs, np.conj(rhs[::-1]))
     # diffusion adds -kappa (K + m^2 p^2) on the diagonal
-    rhs2 = ev.full_slice_rhs(ev.embed_restricted(UNIT, c, kappa=0.5), steady)
+    rhs2 = ev.full_slice_rhs(UNIT, ev.embed_restricted(UNIT, c).theta, 0.5)
     assert 2j * rhs2[9] == pytest.approx(-0.5 * 3.0)
 
 
 def test_evolve_slice_eigen_rate():
     mode = spectrum.solve_growth_rate(UNIT)
     traj = ev.evolve_full_slice(ev.embed_restricted(UNIT, mode.c_tilde),
-                                ev.sine_steady_coeffs(UNIT.a, UNIT.m),
                                 0.05, 40.0)
     fit = ev.measure_growth_rate(traj.t, traj.norm, (0.0, 40.0))
     assert fit.rate == pytest.approx(SIGMA_UNIT, rel=1e-10)
@@ -53,15 +51,13 @@ def test_evolve_slice_eigen_rate():
 def test_evolve_slice_dt_margin():
     full = ev.embed_restricted(UNIT, np.ones(16))
     with pytest.raises(ValueError):
-        ev.evolve_full_slice(full, ev.sine_steady_coeffs(UNIT.a, UNIT.m),
-                             5.0, 10.0)
+        ev.evolve_full_slice(full, 5.0, 10.0)
 
 
 def test_evolve_slice_decay_with_strong_diffusion():
     # kappa large enough that no unstable root survives (kappa K > sigma*)
     full = ev.embed_restricted(UNIT, np.ones(16), kappa=0.05)
-    traj = ev.evolve_full_slice(full, ev.sine_steady_coeffs(UNIT.a, UNIT.m),
-                                0.005, 0.5)
+    traj = ev.evolve_full_slice(full, 0.005, 0.5)
     assert traj.norm[-1] < traj.norm[0]
 
 
@@ -101,6 +97,16 @@ def test_full_slice_state_rejects_negative_kappa():
         ev.FullSliceState(mp=UNIT, theta=np.zeros(17), kappa=-1.0)
 
 
+def test_full_slice_state_rejects_vertical_mean():
+    # theta_hat(0) is the vertical mean, which the model holds at zero
+    th = np.ones(17, dtype=complex)
+    with pytest.raises(ValueError, match="vertical mean"):
+        ev.FullSliceState(mp=UNIT, theta=th)
+    th[8] = 1e-14  # round-off below 1e-13 of max |theta| passes
+    ev.FullSliceState(mp=UNIT, theta=th)
+    ev.FullSliceState(mp=UNIT, theta=np.zeros(17))
+
+
 @pytest.mark.parametrize("kappa, c, dt, t_end, rtol", [
     pytest.param(0.0, "eigen", 0.05, 5.0, 1e-12, id="inviscid"),
     pytest.param(0.05, "ones", 0.002, 0.5, 1e-7, id="diffusive"),
@@ -111,7 +117,6 @@ def test_full_slice_matches_expm(kappa, c, dt, t_end, rtol):
     c = spectrum.solve_growth_rate(UNIT).c_tilde[:big_p] \
         if c == "eigen" else np.ones(big_p)
     traj = ev.evolve_full_slice(ev.embed_restricted(UNIT, c, kappa),
-                                ev.sine_steady_coeffs(UNIT.a, UNIT.m),
                                 dt, t_end)
     gen = _sine_generator(UNIT, big_p, kappa)
     exact = [np.linalg.norm(scipy.linalg.expm(t * gen) @ c) for t in traj.t]
@@ -123,8 +128,7 @@ def test_full_slice_magnetic_norm():
     th = rng.standard_normal(33) + 1j * rng.standard_normal(33)
     th[16] = 0.0
     mp = ModeParams(k1=3, k2=2)
-    steady = ev.sine_steady_coeffs(mp.a, mp.m)
-    traj = ev.evolve_full_slice(ev.FullSliceState(mp=mp, theta=th), steady,
+    traj = ev.evolve_full_slice(ev.FullSliceState(mp=mp, theta=th),
                                 0.05, 1.0)
     b = b_symbol((mp.k1, mp.k2, np.arange(-16, 17)), mp.phys)
     expect = np.sqrt(np.sum(np.abs(b) ** 2 * np.abs(th) ** 2))
@@ -134,11 +138,10 @@ def test_full_slice_magnetic_norm():
 
 def test_full_slice_max_dt_is_the_stability_margin():
     full = ev.embed_restricted(UNIT, np.ones(8))
-    steady = ev.sine_steady_coeffs(UNIT.a, UNIT.m)
-    limit = ev.full_slice_max_dt(full, steady)
-    ev.evolve_full_slice(full, steady, limit, 10.0 * limit)
+    limit = ev.full_slice_max_dt(full)
+    ev.evolve_full_slice(full, limit, 10.0 * limit)
     with pytest.raises(ValueError, match="stability margin"):
-        ev.evolve_full_slice(full, steady, 1.01 * limit, 10.0 * limit)
+        ev.evolve_full_slice(full, 1.01 * limit, 10.0 * limit)
 
 
 @pytest.mark.parametrize("mp, kappa", [
@@ -150,31 +153,42 @@ def test_full_slice_max_dt_matches_sine_generator(mp, kappa):
     mode = spectrum.solve_growth_rate(mp)
     full = ev.embed_restricted(mp, mode.c_tilde, kappa)
     gen = _sine_generator(mp, mode.c_tilde.size, kappa)
-    limit = ev.full_slice_max_dt(full, ev.sine_steady_coeffs(mp.a, mp.m))
+    limit = ev.full_slice_max_dt(full)
     assert limit == pytest.approx(0.1 / np.abs(gen).sum(axis=1).max(),
                                   rel=1e-14)
 
 
-def test_sine_steady_coeffs():
-    co = ev.sine_steady_coeffs(2.0, 3)
-    assert co == {3: -1.0j, -3: 1.0j}
+@settings(max_examples=30, deadline=None)
+@given(m=st.integers(1, 3), a=st.floats(0.25, 4.0), k1=st.integers(1, 12),
+       k2=st.integers(1, 6), big_p=st.integers(8, 20),
+       kappa=st.sampled_from([0.0, 1e-3, 0.05]), seed=st.integers(0, 2 ** 16))
+def test_full_slice_rhs_is_the_lifted_sine_generator(m, a, k1, k2, big_p,
+                                                     kappa, seed):
+    # on a lifted state the profile generator acts as the dense sine
+    # generator on c, for every vertical wavenumber m of the steady state
+    mp = ModeParams(a=a, m=m, k1=k1, k2=k2)
+    c = np.random.default_rng(seed).standard_normal(big_p)
+    rhs = ev.full_slice_rhs(mp, ev.embed_restricted(mp, c).theta, kappa)
+    lifted = ev.embed_restricted(mp, _sine_generator(mp, big_p, kappa) @ c)
+    scale = np.abs(lifted.theta).max()
+    # the sine generator truncates at P: row P loses the c_{P+1} source,
+    # which the profile has no room for either
+    assert np.allclose(rhs, lifted.theta, rtol=0.0, atol=1e-13 * scale)
 
 
 def test_gronwall_bound_holds():
-    steady = ev.sine_steady_coeffs(UNIT.a, UNIT.m)
     rng = np.random.default_rng(17)
     for trial in range(3):
         th = rng.standard_normal(33) + 1j * rng.standard_normal(33)
         th[16] = 0.0
         full = ev.FullSliceState(mp=UNIT, theta=th)
-        traj = ev.evolve_full_slice(full, steady, 0.05, 3.0)
+        traj = ev.evolve_full_slice(full, 0.05, 3.0)
         rates = traj.log_derivative()
         assert np.all(rates <= traj.rate_bound + 1e-9)
 
 
 def test_gronwall_constant_value():
-    steady = ev.sine_steady_coeffs(1.0, 1)
-    c = ev.gronwall_constant(UNIT, steady)
+    c = ev.gronwall_constant(UNIT)
     # (mu k2^2 / 4 Omega^2) * (pi^2 / 3 sqrt 5) * ||d3 Theta0||
     expect = 0.25 * (np.pi ** 2 / (3.0 * np.sqrt(5.0))) * (1.0 / np.sqrt(2.0))
     assert c == pytest.approx(expect, rel=1e-12)

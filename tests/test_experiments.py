@@ -30,11 +30,41 @@ def test_validate_config_merge_and_types():
     ({"params": {"omega": "fast"}}, "params.omega"),
     ({"tolerances": {"residual_scale": -1}}, "residual_scale"),
     ({"experiment": "oracle-xcheck"}, "experiment"),
+    # JSON true is not a number, in any field
+    pytest.param({"experiment": "slice-growth", "params": {"dt": True}},
+                 "params.dt: expected a finite number", id="dt-true"),
+    pytest.param({"experiment": "slice-growth", "params": {"P": True}},
+                 "params.P: expected an integer", id="P-true"),
+    pytest.param({"tolerances": {"residual_scale": True}},
+                 "tolerances.residual_scale: expected a finite number",
+                 id="tolerance-true"),
+    pytest.param({"params": {"omega": float("nan")}},
+                 "params.omega: expected a finite number", id="omega-nan"),
+    # list entries are checked like scalars, and named by their index
+    pytest.param({"params": {"values": [1.5, 2]}},
+                 "params.values[0]: expected an integer", id="values-1.5"),
+    pytest.param({"params": {"values": [1, True]}},
+                 "params.values[1]: expected an integer", id="values-true"),
+    pytest.param({"params": {"values": [None]}},
+                 "params.values[0]: expected an integer", id="values-null"),
+    pytest.param({"experiment": "illposed-scaling",
+                  "params": {"j_list": ["a"]}},
+                 "params.j_list[0]: expected an integer", id="j_list-string"),
 ])
 def test_validate_config_rejects(config, fragment):
+    name = config.get("experiment", "sigma-table")
+    if name == "oracle-xcheck":
+        name = "sigma-table"  # the mismatch is the fault under test
     with pytest.raises(experiments.ExperimentError) as err:
-        experiments.validate_config("sigma-table", config)
+        experiments.validate_config(name, config)
     assert fragment in str(err.value)
+
+
+def test_validate_config_keeps_integral_floats():
+    params, _ = experiments.validate_config(
+        "slice-growth", {"params": {"P": 64.0, "dt": 1}})
+    assert params["P"] == 64 and isinstance(params["P"], int)
+    assert params["dt"] == 1.0 and isinstance(params["dt"], float)
 
 
 def test_unknown_experiment():
@@ -116,6 +146,15 @@ def test_cli_bad_config_exit_code(tmp_path):
     assert err.value.code == 2
 
 
+def test_cli_bad_list_entry_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"params": {"j_list": ["a"]}}))
+    with pytest.raises(SystemExit) as err:
+        cli.main(["illposed-scaling", "--config", str(cfg), "--validate-only"])
+    assert err.value.code == 2
+    assert "usage error: params.j_list[0]" in capsys.readouterr().err
+
+
 def test_cli_missing_config_file(tmp_path):
     rc = cli.main(["sigma-table", "--config", str(tmp_path / "none.json")])
     assert rc == 2
@@ -159,6 +198,20 @@ def test_cli_symbol_table_frozen(tmp_path, capsys):
     assert cli.main(["symbol-table", "--n", "3", "--out", str(out)]) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == SYMBOL_TABLE_N3_SHA256
+
+
+# sha256 of the default `slice-growth` trajectory.csv: every RK4 step of
+# the slice generator, at 17 digits, on both the eigenvector and the
+# generic run
+SLICE_GROWTH_TRAJECTORY_SHA256 = \
+    "aa7280ff232017e33b948b0c32ed1ec3dce11a24a024841a82f840a0ef00deef"
+
+
+def test_slice_growth_trajectory_frozen(tmp_path):
+    res = experiments.run_experiment("slice-growth", {}, str(tmp_path), 1)
+    assert res.passed
+    data = (tmp_path / "trajectory.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == SLICE_GROWTH_TRAJECTORY_SHA256
 
 
 def test_cli_plot_data_unmapped(tmp_path, capsys):

@@ -28,8 +28,10 @@ def test_field_shape_validation():
         SpectralField(np.zeros((4, 4, 4), dtype=complex))  # even side
     with pytest.raises(ValueError):
         SpectralField(np.zeros((3, 5, 3), dtype=complex))  # not a cube
+    with pytest.raises(ValueError):
+        SpectralField(np.zeros((5, 5), dtype=complex))  # fields are 3-d
     f = SpectralField(np.zeros((5, 5, 5), dtype=complex))
-    assert f.n == 2 and f.dim == 3
+    assert f.n == 2
 
 
 def test_field_owns_its_array():
@@ -58,6 +60,12 @@ def test_from_modes_and_getitem():
     assert f[(1, 0, 1)] == 0.5
     assert f[(-1, 0, -1)] == 0.5
     assert f[(0, 0, 0)] == 0.0
+    # a wavevector outside the cube raises instead of wrapping to k + 2n + 1
+    for k in ((-4, 0, 0), (4, 0, 0), (1, 0)):
+        with pytest.raises(ValueError):
+            f[k]
+        with pytest.raises(ValueError):
+            SpectralField.from_modes(3, {k: 1.0})
 
 
 def test_sobolev_a_hand_value():
@@ -96,7 +104,6 @@ def test_radius_estimate_exact_family(tau):
     est = radius_estimate(SpectralField(c.astype(complex)))
     assert est.radius == pytest.approx(tau, rel=1e-10)
     assert not est.entire
-    assert float(est) == est.radius
 
 
 def test_radius_estimate_band_limited_is_entire():
@@ -170,7 +177,9 @@ def test_tracker_to_csv(tmp_path):
     for t in np.linspace(0.0, 0.5, 21):
         tr.append(float(t), 0.1)
     path = os.path.join(tmp_path, "tr.csv")
-    fields.tracker_to_csv(tr, path)
+    tau = radius_ode_refined(tr).tau
+    fields.tracker_to_csv(tr, path, tau)
     lines = open(path).read().strip().splitlines()
     assert lines[0] == "t,a,A,tau"
     assert len(lines) == 22
+    assert float(lines[-1].split(",")[3]) == tau[-1]
