@@ -21,7 +21,6 @@ from .spectrum import (
     alpha,
     analytic_bracket,
     f_continued_fraction,
-    optimal_diffusive_mode,
     solve_growth_rate,
     solve_growth_rate_diffusive,
     sweep_growth_rates,
@@ -37,10 +36,8 @@ from .fields import (
     radius_ode_refined,
 )
 from .evolution import (
-    NonlinearSettings,
     evolve_full_slice,
     evolve_nonlinear,
-    lipschitz_blowup_experiment,
     measure_growth_rate,
 )
 
@@ -51,13 +48,10 @@ __all__ = [
     "b_symbol", "m_symbol", "m_symbol_exact", "symbol_asymptotics_report",
     "t_symbol",
     "UnstableMode", "alpha", "analytic_bracket", "f_continued_fraction",
-    "optimal_diffusive_mode", "solve_growth_rate",
-    "solve_growth_rate_diffusive", "sweep_growth_rates",
+    "solve_growth_rate", "solve_growth_rate_diffusive", "sweep_growth_rates",
     "truncated_matrix_eigenvalue",
     "GevreyTracker", "SpectralField", "breakdown_criterion", "gevrey_norm",
     "radius_estimate", "radius_ode_linear", "radius_ode_refined",
-    "NonlinearSettings", "evolve_full_slice", "evolve_nonlinear",
-    "lipschitz_blowup_experiment",
-    "measure_growth_rate",
+    "evolve_full_slice", "evolve_nonlinear", "measure_growth_rate",
     "__version__",
 ]

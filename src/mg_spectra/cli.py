@@ -5,7 +5,9 @@ Usage:
     mg-spectra symbol-table [--n N] [--out FILE]
     mg-spectra plot-data --results DIR [--out FILE]
 
-Exit status is 0 only when every check of the experiment passed.  Thread
+Exit status is 0 only when every check of the experiment passed, and 2
+for a usage error: a config that fails validation, or one the run finds
+it cannot serve (a sweep box with no unstable mode, say).  Thread
 count comes from --threads, else the MG_SPECTRA_THREADS environment
 variable, else 1.
 """
@@ -116,8 +118,11 @@ def main(argv=None) -> int:
         out_dir = config.get("out") or os.path.join("out", args.command)
     threads = _resolve_threads(args.threads)
 
-    result = experiments.run_experiment(args.command, config, out_dir,
-                                        threads)
+    try:
+        result = experiments.run_experiment(args.command, config, out_dir,
+                                            threads)
+    except experiments.ExperimentError as exc:
+        parser.exit(2, "usage error: %s\n" % exc)
     for check in result.checks:
         status = "PASS" if check["passed"] else "FAIL"
         print("[%s] %s  measured=%s  tolerance=%s"

@@ -8,16 +8,15 @@
    basis of the eigenvalue recursion, enter through embed_restricted.
 2. The full nonlinear pseudo-spectral solver for
    d Theta/dt + U . grad Theta = S + kappa Lap Theta,   U_j = M_j Theta,
-   with 2/3-rule dealiasing, explicit or integrating-factor diffusion, and
-   energy/analyticity diagnostics.
+   with 2/3-rule dealiasing, explicit diffusion, and energy/analyticity
+   diagnostics.
 
 Conventions: Theta(x) = sum_k c(k) exp(i k.x) on the centered cube
 |k|_inf <= N; norms are coefficient-l2.  The nonlinear solver holds its
 state on the 2/3 band |k_i| <= cut = (2N+1)//3 and forms products on an
 alias-free L^3 grid, L = next_fast_len(3 cut + 1) (64 at N = 32); fields
 cross its API as full centered cubes.  Both integrators take fixed
-steps of one classical RK4 step, `_rk4_step`, explicit or with the
-integrating factor.
+steps of one classical RK4 step, `_rk4_step`.
 """
 
 from __future__ import annotations
@@ -32,9 +31,11 @@ import numpy as np
 import scipy.fft
 
 from .fields import (GevreyTracker, SpectralField, gevrey_norm,
-                     radius_estimate, sobolev_a)
+                     radius_estimate, sobolev_a, wavenumber_norms)
 from .params import ModeParams, PhysicalParams
-from .spectrum import UnstableMode, solve_growth_rate
+# solve_growth_rate is unused here; perfbench/test_perfbench.py checks
+# that its tracer wraps the name in every layer module that binds it
+from .spectrum import UnstableMode, solve_growth_rate  # noqa: F401
 from .symbols import b_symbol, b_symbol_grids, m_symbol, m_symbol_grids
 
 
@@ -46,24 +47,13 @@ class DivergenceError(RuntimeError):
         self.step = step
 
 
-def _rk4_step(rhs, y, dt: float, k1, e=None):
-    """One classical RK4 step from y, given the first slope k1 = rhs(y).
-
-    e = None is the explicit step.  An array e = exp(-kappa |k|^2 dt/2)
-    makes it the integrating-factor step: RK4 on exp(kappa |k|^2 t) y, with
-    rhs leaving out the diffusion that the factors apply exactly.
-    """
+def _rk4_step(rhs, y, dt: float, k1):
+    """One classical RK4 step from y, given the first slope k1 = rhs(y)."""
     h = 0.5 * dt
-    if e is None:
-        k2 = rhs(y + h * k1)
-        k3 = rhs(y + h * k2)
-        k4 = rhs(y + dt * k3)
-        return y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    ey = e * y
-    k2 = rhs(e * (y + h * k1))
-    k3 = rhs(ey + h * k2)
-    k4 = rhs(e * (ey + dt * k3))
-    return e * (e * (y + dt / 6.0 * k1) + dt / 3.0 * (k2 + k3)) + dt / 6.0 * k4
+    k2 = rhs(y + h * k1)
+    k3 = rhs(y + h * k2)
+    k4 = rhs(y + dt * k3)
+    return y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 # ---------------------------------------------------------------------------
@@ -308,29 +298,6 @@ def eigenmode_field(mode: UnstableMode, n: int) -> SpectralField:
 # nonlinear pseudo-spectral solver
 
 
-@dataclass
-class NonlinearSettings:
-    """Knobs for evolve_nonlinear.
-
-    integrating_factor switches the kappa Lap term from explicit RK4 to an
-    exact exponential factor.  The analytic-window guard applies only to
-    kappa = 0 runs: the horizon must stay below tau0/(2 K0), with tau0 and
-    K0 derived from the initial data (radius_estimate and the Gevrey norm
-    with exponent r); an estimated radius below 0.02 is refused, and the
-    run's Gevrey tracker starts from the same tau0 and K0.
-    reference subtracts a fixed field before computing perturbation
-    diagnostics; track_magnetic adds the induced magnetic perturbation norm.
-    """
-
-    integrating_factor: bool = False
-    workers: int = 1
-    snapshot_stride: int = 0
-    analytic_guard: bool = True
-    r: float = 3.0
-    reference: SpectralField = None
-    track_magnetic: bool = False
-
-
 @dataclass(frozen=True)
 class NonlinearTrajectory:
     t: np.ndarray
@@ -438,10 +405,10 @@ class NonlinearSolver:
         adv[:, :, :self.cut] = np.conj(half[::-1, ::-1, ::-1])
         return adv, max_u
 
-    def rhs(self, c: np.ndarray, include_diffusion: bool = True):
+    def rhs(self, c: np.ndarray):
         adv, max_u = self.advection(c)
         out = self.source - adv
-        if include_diffusion and self.kappa:
+        if self.kappa:
             out = out - self.kappa * self.ksq * c
         return out, adv, max_u
 
@@ -483,7 +450,7 @@ def _window_parameters(theta0: SpectralField, r: float):
     if est.entire:
         mag2 = np.abs(theta0.coeffs) ** 2
         total = float(np.sum(mag2))
-        centroid = float(np.sum(theta0.wavenumbers() * mag2) / total)
+        centroid = float(np.sum(wavenumber_norms(theta0.n) * mag2) / total)
         tau0 = 1.0 / max(centroid, 1.0)
     else:
         if est.radius < _TAU_FLOOR:
@@ -498,28 +465,34 @@ def _window_parameters(theta0: SpectralField, r: float):
 
 def evolve_nonlinear(theta0: SpectralField, kappa: float,
                      source: SpectralField, dt: float, t_end: float,
-                     phys: PhysicalParams = None,
-                     settings: NonlinearSettings = None) -> NonlinearTrajectory:
+                     phys: PhysicalParams = None, *,
+                     reference: SpectralField = None,
+                     snapshot_stride: int = 0, analytic_guard: bool = True,
+                     r: float = 3.0, workers: int = 1) -> NonlinearTrajectory:
     """Advance the nonlinear MG equation and record diagnostics per step.
 
     theta0 must be real (Hermitian coefficients), mean-zero, with zero
     vertical mean and inside the 2/3 band; so must the source and the
-    reference field.  The state is held on the band; snapshots and the
-    final field are zero-padded back to theta0's cube.  For kappa = 0 the
-    run is held inside the analytic window tau0/(2 K0); horizons beyond it
-    are refused (local analytic theory gives no meaning to the output).
-    A CFL heuristic (max |U| dt N > 0.5) warns once per run.  Snapshots,
-    perturbation norms against a reference field, and the induced magnetic
-    perturbation norm are recorded per the settings.
+    reference field.  The state is held on the band; snapshots (every
+    snapshot_stride steps, none for 0) and the final field are zero-padded
+    back to theta0's cube.  With a reference field, the l2 norm of the
+    perturbation Theta - reference and of its induced magnetic field are
+    recorded per step; without one, both read NaN.
+
+    For kappa = 0 and analytic_guard, the run is held inside the analytic
+    window tau0/(2 K0), with tau0 and K0 derived from the initial data
+    (radius_estimate and the Gevrey norm with exponent r); horizons beyond
+    it, and an estimated radius below 0.02, are refused (local analytic
+    theory gives no meaning to the output), and the run's Gevrey tracker
+    starts from the same tau0 and K0.  A CFL heuristic
+    (max |U| dt N > 0.5) warns once per run.  workers goes to scipy.fft.
     """
-    if settings is None:
-        settings = NonlinearSettings()
     if phys is None:
         phys = PhysicalParams()
     if dt <= 0 or t_end <= 0:
         raise ValueError("dt and t_end must be positive")
     _validate_field(theta0, "initial data")
-    for fld, what in ((source, "source"), (settings.reference, "reference")):
+    for fld, what in ((source, "source"), (reference, "reference")):
         if fld is not None:
             if fld.n != theta0.n:
                 raise ValueError("%s must share the initial data's cube "
@@ -528,12 +501,12 @@ def evolve_nonlinear(theta0: SpectralField, kappa: float,
 
     n = theta0.n
     solver = NonlinearSolver(n, phys=phys, kappa=kappa, source=source,
-                             workers=settings.workers)
+                             workers=workers)
     cut = solver.cut
     tracker = None
-    if kappa == 0.0 and settings.analytic_guard:
+    if kappa == 0.0 and analytic_guard:
         tau0, k0 = _window_parameters(
-            SpectralField(_band(theta0.coeffs, cut)), settings.r)
+            SpectralField(_band(theta0.coeffs, cut)), r)
         if k0 > 0:
             t_star = tau0 / (2.0 * k0)
             if t_end > t_star:
@@ -542,24 +515,21 @@ def evolve_nonlinear(theta0: SpectralField, kappa: float,
                     "(tau0 = %.4g, K0 = %.4g)" % (t_end, t_star, tau0, k0))
         tracker = GevreyTracker(tau0=tau0, k0=k0, max_gap=2.0 * dt)
 
-    # the integrating factor takes the diffusion out of the right-hand side
-    e = np.exp(-solver.kappa * solver.ksq * (0.5 * dt)) \
-        if settings.integrating_factor and kappa > 0 else None
-
     def rhs(y):
-        return solver.rhs(y, include_diffusion=e is None)[0]
+        return solver.rhs(y)[0]
 
-    b_sym = b_symbol_grids(cut, phys) if settings.track_magnetic else None
-    ref = None if settings.reference is None \
-        else _band(settings.reference.coeffs, cut)
+    ref = None if reference is None else _band(reference.coeffs, cut)
+    b_sym = None if reference is None else b_symbol_grids(cut, phys)
 
     def record(c, adv, t_now):
         if tracker is not None:
             tracker.append(t_now, sobolev_a(SpectralField(c)))
-        d = c if ref is None else c - ref
-        pert = float("nan") if ref is None else float(np.linalg.norm(d.ravel()))
-        mag = float("nan") if b_sym is None else math.sqrt(
-            sum(float(np.sum(np.abs(b * d) ** 2)) for b in b_sym))
+        pert = mag = float("nan")
+        if ref is not None:
+            d = c - ref
+            pert = float(np.linalg.norm(d.ravel()))
+            mag = math.sqrt(sum(float(np.sum(np.abs(b * d) ** 2))
+                                for b in b_sym))
         return (t_now, math.sqrt(float(np.sum(np.abs(c) ** 2))),
                 solver.diagnostics(c, adv), pert, mag)
 
@@ -570,103 +540,21 @@ def evolve_nonlinear(theta0: SpectralField, kappa: float,
     cfl_warned = False
     for i in range(n_steps + 1):
         # stage one doubles as the diagnostic evaluation at the current state
-        k1, adv, max_u = solver.rhs(c, include_diffusion=e is None)
+        k1, adv, max_u = solver.rhs(c)
         rows.append(record(c, adv, i * dt))
         if not cfl_warned and max_u * dt * n > 0.5:
             warnings.warn(
                 "CFL heuristic exceeded: max|U| dt N = %.3g > 0.5"
                 % (max_u * dt * n), RuntimeWarning)
             cfl_warned = True
-        if settings.snapshot_stride and i % settings.snapshot_stride == 0:
+        if snapshot_stride and i % snapshot_stride == 0:
             snaps.append((i * dt, SpectralField(_pad(c, n))))
         if i == n_steps:
             break
-        c = _rk4_step(rhs, c, dt, k1, e)
+        c = _rk4_step(rhs, c, dt, k1)
         if not np.all(np.isfinite(c)):
             raise DivergenceError(i + 1)
     t, l2, energy, pert, mag = (np.asarray(col) for col in zip(*rows))
     return NonlinearTrajectory(
         t=t, l2=l2, energy_residual=energy, pert_l2=pert, magnetic_l2=mag,
         snapshots=snaps, tracker=tracker, final=SpectralField(_pad(c, n)))
-
-
-# ---------------------------------------------------------------------------
-# Lipschitz-blowup table
-
-
-@dataclass(frozen=True)
-class LipschitzRow:
-    j: int
-    sigma: float
-    ratio_nonlinear: float
-    ratio_linear_run: float
-    ratio_closed_form: float
-
-    @property
-    def gap_vs_closed(self) -> float:
-        return abs(self.ratio_nonlinear - self.ratio_closed_form) \
-            / self.ratio_closed_form
-
-
-def _resolution_for(j: int, m: int) -> int:
-    # dealias band must keep the linear coupling modes (j, sqrt j, p +- m)
-    need = j + 2 * m
-    return max((3 * need) // 2, 8)
-
-
-def lipschitz_blowup_experiment(j_list, eps: float, t_probe: float,
-                                phys: PhysicalParams = None, a: float = 1.0,
-                                m: int = 1, dt: float = 0.02,
-                                workers: int = 1) -> list:
-    """Growth ratios ||Theta(t_probe) - Theta0|| / eps over j = k1 = k2^2.
-
-    Each j gets a non-diffusive nonlinear run from Theta0 + eps times the
-    unit eigenmode, a linear full-slice surrogate run, and the closed form
-    exp(sigma* t_probe).  The analytic window is checked against the
-    perturbation data (tau0 = 1/|k_base|, K0 its Gevrey norm); a j whose
-    window cannot reach t_probe is refused with an error rather than run
-    outside the regime.
-    """
-    if phys is None:
-        phys = PhysicalParams()
-    rows = []
-    for j in j_list:
-        k2 = math.isqrt(int(j))
-        if k2 * k2 != j:
-            raise ValueError("j = %r is not a perfect square" % (j,))
-        mp = ModeParams(a=a, m=m, k1=int(j), k2=k2, phys=phys)
-        mode = solve_growth_rate(mp)
-        n = _resolution_for(int(j), m)
-        psi = eigenmode_field(mode, n)
-
-        # analytic-window check on the perturbation
-        k_base = math.sqrt(j * j + j + m * m)
-        tau0 = 1.0 / k_base
-        k0 = gevrey_norm(psi, tau0, 3.0) * eps
-        t_star = tau0 / (2.0 * k0)
-        if t_probe > t_star:
-            raise ValueError(
-                "j = %d: probe time %.3g outside the analytic window %.3g"
-                % (j, t_probe, t_star))
-
-        theta_init = SpectralField(steady_state_field(n, a, m).coeffs
-                                   + eps * psi.coeffs)
-        settings = NonlinearSettings(analytic_guard=False,
-                                     reference=steady_state_field(n, a, m),
-                                     workers=workers)
-        traj = evolve_nonlinear(theta_init, 0.0, None, dt, t_probe,
-                                phys=phys, settings=settings)
-        ratio_nl = traj.pert_l2[-1] / eps
-
-        # linear surrogate on the slice
-        p_keep = max(8, min(mode.truncation_P, n // m))
-        fs = embed_restricted(mp, mode.c_tilde[:p_keep])
-        lin = evolve_full_slice(fs, dt, t_probe)
-        ratio_lin = float(lin.norm[-1] / lin.norm[0])
-
-        rows.append(LipschitzRow(j=int(j), sigma=mode.sigma,
-                                 ratio_nonlinear=float(ratio_nl),
-                                 ratio_linear_run=ratio_lin,
-                                 ratio_closed_form=float(
-                                     math.exp(mode.sigma * t_probe))))
-    return rows

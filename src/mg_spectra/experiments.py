@@ -36,7 +36,8 @@ EXPERIMENT_NAMES = (
 
 
 class ExperimentError(ValueError):
-    """Config schema violation; message carries the offending field path."""
+    """A config the experiment cannot serve: a schema violation, or a value
+    the run finds out of reach; the message names the field or value."""
 
 
 # ---------------------------------------------------------------------------
@@ -96,11 +97,12 @@ _SCHEMAS = {
 }
 
 
-def _number(path: str, default, value):
+def _number(path: str, default, value, may_be_zero: bool):
     """A config number as the type of its schema default, int or float.
 
     JSON true and false are not numbers, an integer field takes only
-    integral values, and a float field only finite ones.
+    integral values, and a float field only finite ones.  The number must
+    be positive, or non-negative where may_be_zero.
     """
     integral = isinstance(default, int)
     try:
@@ -111,15 +113,29 @@ def _number(path: str, default, value):
     if not ok:
         raise ExperimentError("%s: expected %s" % (
             path, "an integer" if integral else "a finite number"))
-    return int(value) if integral else float(value)
+    value = int(value) if integral else float(value)
+    if value < 0 or (value == 0 and not may_be_zero):
+        raise ExperimentError("%s: expected a %s number" % (
+            path, "non-negative" if may_be_zero else "positive"))
+    return value
+
+
+def _square_root(path: str, j: int) -> int:
+    """k2 = sqrt(j) of a j_list entry, the mode k1 = j, k2 = sqrt(j)."""
+    k2 = math.isqrt(j)
+    if k2 * k2 != j:
+        raise ExperimentError("%s: %d is not a perfect square" % (path, j))
+    return k2
 
 
 def validate_config(name: str, config: dict):
     """Merge a raw config dict over the experiment defaults.
 
-    Unknown fields, wrong types, and non-positive tolerance overrides are
-    rejected with the field path in the message, down to the list entry
-    (params.j_list[0]).
+    Unknown fields, wrong types, numbers out of range and j_list entries
+    that are not perfect squares are rejected with the field path in the
+    message, down to the list entry (params.j_list[0]).  Every number must
+    be positive, except the seeds and the oracle-xcheck kappas, which may
+    be zero.
     """
     if name not in _SCHEMAS:
         raise ExperimentError("unknown experiment %r" % name)
@@ -144,16 +160,19 @@ def validate_config(name: str, config: dict):
                 raise ExperimentError("%s.%s: unknown field" % (section, key))
             path = "%s.%s" % (section, key)
             default = merged[key]
+            may_be_zero = key == "seed" or (name, key) == ("oracle-xcheck",
+                                                           "kappas")
             if isinstance(default, list):
                 if not isinstance(value, list) or not value:
                     raise ExperimentError("%s: expected a non-empty list"
                                           % path)
-                value = [_number("%s[%d]" % (path, i), default[0], v)
-                         for i, v in enumerate(value)]
+                value = [_number("%s[%d]" % (path, i), default[0], v,
+                                 may_be_zero) for i, v in enumerate(value)]
+                if key == "j_list":
+                    for i, j in enumerate(value):
+                        _square_root("%s[%d]" % (path, i), j)
             else:
-                value = _number(path, default, value)
-            if section == "tolerances" and value <= 0:
-                raise ExperimentError("%s: tolerance must be positive" % path)
+                value = _number(path, default, value, may_be_zero)
             merged[key] = value
         out[section] = merged
     return out["params"], out["tolerances"]
@@ -233,10 +252,7 @@ def _random_smooth_field(n: int, decay: float, seed: int,
     rng = np.random.default_rng(seed)
     shape = (2 * n + 1,) * 3
     c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    k = np.arange(-n, n + 1)
-    k1, k2, k3 = np.meshgrid(k, k, k, indexing="ij")
-    kn = np.sqrt((k1 ** 2 + k2 ** 2 + k3 ** 2).astype(float))
-    c *= np.exp(-decay * kn)
+    c *= np.exp(-decay * fields.wavenumber_norms(n))
     c[:, :, n] = 0.0
     c = _hermitianize(evolution.band_limit(c))
     nrm = np.linalg.norm(c.ravel())
@@ -247,9 +263,7 @@ def _synthetic_decay_field(n: int, tau: float, q: float, amplitude: float,
                            seed: int = None) -> fields.SpectralField:
     """|c(k)| = amplitude e^{-tau |k|} |k|^{-q} exactly, random phases."""
     shape = (2 * n + 1,) * 3
-    k = np.arange(-n, n + 1)
-    k1, k2, k3 = np.meshgrid(k, k, k, indexing="ij")
-    kn = np.sqrt((k1 ** 2 + k2 ** 2 + k3 ** 2).astype(float))
+    kn = fields.wavenumber_norms(n)
     with np.errstate(divide="ignore"):
         mag = amplitude * np.exp(-tau * kn) * np.where(kn > 0, kn, 1.0) ** (-q)
     mag[n, n, n] = 0.0
@@ -330,9 +344,9 @@ def _run_oracle_xcheck(params, tols, out_dir, threads):
     without = [r for r in rows if not r["root"]]
     checks = [
         _check("cf_matches_matrix", all(r["ok"] for r in with_root),
-               max(r["rel_diff"] for r in with_root), tols["rel_diff"]),
-        _check("no_root_means_stable",
-               all(r["ok"] for r in without) if without else True,
+               max((r["rel_diff"] for r in with_root), default=0.0),
+               tols["rel_diff"]),
+        _check("no_root_means_stable", all(r["ok"] for r in without),
                max((r["lambda_matrix"] for r in without), default=0.0),
                tols["absent_eig"]),
     ]
@@ -392,13 +406,10 @@ def _run_illposed_scaling(params, tols, out_dir, threads):
     const = spectrum.growth_bound_constant(a, m, phys)
 
     def work(j):
-        k2 = math.isqrt(int(j))
-        if k2 * k2 != j:
-            raise ExperimentError("params.j_list: %r is not a perfect square"
-                                  % (j,))
+        k2 = _square_root("params.j_list", j)
         mp = _mode(a, m, j, k2, omega, mu)
         mode = spectrum.solve_growth_rate(mp)
-        return {"j": int(j), "k1": int(j), "k2": k2, "sigma": mode.sigma,
+        return {"j": j, "k1": j, "k2": k2, "sigma": mode.sigma,
                 "bound": j * const, "ratio": mode.sigma / (j * const),
                 "above_bound": mode.sigma > j * const}
 
@@ -416,12 +427,29 @@ def _run_illposed_scaling(params, tols, out_dir, threads):
     return ExperimentResult("illposed-scaling", columns, rows, checks)
 
 
+def _argmax_mode(sweep, kappa, a, m, phys):
+    """The fastest-growing mode of a sweep_growth_rates box, re-solved by
+    the scalar solver: (the box's sigma there, the UnstableMode)."""
+    k1g, k2g, sigma = sweep
+    if np.all(np.isnan(sigma)):
+        raise ExperimentError(
+            "kappa = %g: no unstable mode in the box [1, %d] x [1, %d]"
+            % ((kappa,) + k1g.shape))
+    idx = np.nanargmax(sigma)
+    mp = ModeParams(a=a, m=m, k1=int(k1g.flat[idx]), k2=int(k2g.flat[idx]),
+                    phys=phys)
+    return float(sigma.flat[idx]), \
+        spectrum.solve_growth_rate_diffusive(mp, kappa)
+
+
 def _run_diffusive_sweep(params, tols, out_dir, threads):
     omega, mu = params["omega"], params["mu"]
     phys = PhysicalParams.from_mu(omega=omega, mu=mu)
     kappa, a, m = params["kappa"], params["a"], params["m"]
-    k1g, k2g, sigma = spectrum.sweep_growth_rates(
-        kappa, a, m, phys, params["k1_max"], params["k2_max"])
+    sweep = spectrum.sweep_growth_rates(kappa, a, m, phys, params["k1_max"],
+                                        params["k2_max"])
+    grid_sigma, mode = _argmax_mode(sweep, kappa, a, m, phys)
+    k1g, k2g, sigma = sweep
     rows = []
     bound_violations = 0
     worst_margin = float("inf")
@@ -438,12 +466,6 @@ def _run_diffusive_sweep(params, tols, out_dir, threads):
                     worst_margin = min(worst_margin, sv - lb)
             rows.append({"k1": k1v, "k2": k2v, "sigma": sv,
                          "lower_bound": lb})
-    idx = np.nanargmax(sigma)
-    k1s = int(k1g.ravel()[idx])
-    k2s = int(k2g.ravel()[idx])
-    grid_sigma = float(sigma.ravel()[idx])
-    mode = spectrum.solve_growth_rate_diffusive(
-        _mode(a, m, k1s, k2s, omega, mu), kappa)
     rel = abs(mode.sigma - grid_sigma) / mode.sigma
     checks = [
         _check("argmax_matches_scalar_solver", rel <= tols["argmax_rel"],
@@ -455,10 +477,11 @@ def _run_diffusive_sweep(params, tols, out_dir, threads):
     return ExperimentResult("diffusive-sweep", columns, rows, checks)
 
 
-def _slice_rate_pair(mode, mp, kappa, slice_p):
+def _slice_rate_pair(mode, slice_p):
     """theta and magnetic growth rates from the linear slice evolution."""
     keep = min(slice_p, mode.c_tilde.size)
-    full = evolution.embed_restricted(mp, mode.c_tilde[:keep], kappa)
+    full = evolution.embed_restricted(mode.params, mode.c_tilde[:keep],
+                                      mode.kappa)
     t_end = 3.0 / mode.sigma
     dt = min(t_end / 60.0, evolution.full_slice_max_dt(full))
     traj = evolution.evolve_full_slice(full, dt, t_end)
@@ -476,17 +499,18 @@ def _run_dynamo_scaling(params, tols, out_dir, threads):
         k1p, k2p = spectrum.predicted_optimal_mode(kappa, a, m, phys)
         box1 = int(math.ceil(4.0 * k1p))
         box2 = int(math.ceil(4.0 * k2p))
-        res = spectrum.optimal_diffusive_mode(kappa, a, m, phys, box1, box2)
-        rate_t, rate_b = _slice_rate_pair(res.mode, res.mode.params, kappa,
-                                          params["slice_P"])
+        _, mode = _argmax_mode(
+            spectrum.sweep_growth_rates(kappa, a, m, phys, box1, box2),
+            kappa, a, m, phys)
+        bound = spectrum.dynamo_bound(kappa, a, phys)
+        rate_t, rate_b = _slice_rate_pair(mode, params["slice_P"])
         return {"kappa": kappa, "k1_max": box1, "k2_max": box2,
-                "k1_argmax": res.k1, "k2_argmax": res.k2,
-                "k1_predicted": res.k1_predicted,
-                "k2_predicted": res.k2_predicted,
-                "sigma_max": res.mode.sigma, "sigma_bound": res.sigma_bound,
-                "sigma_times_kappa": res.mode.sigma * kappa,
+                "k1_argmax": mode.params.k1, "k2_argmax": mode.params.k2,
+                "k1_predicted": k1p, "k2_predicted": k2p,
+                "sigma_max": mode.sigma, "sigma_bound": bound,
+                "sigma_times_kappa": mode.sigma * kappa,
                 "rate_theta": rate_t, "rate_magnetic": rate_b,
-                "bound_met": res.bound_met}
+                "bound_met": mode.sigma >= bound}
 
     rows = _parallel_map(work, sorted(params["kappas"], reverse=True),
                          threads)
@@ -558,10 +582,9 @@ def _run_gevrey_breakdown(params, tols, out_dir, threads):
                                     seed=params["seed"])
     theta0 = fields.SpectralField(evolution.band_limit(theta0.coeffs))
     n_steps = int(round(params["t_end"] / params["dt"]))
-    settings = evolution.NonlinearSettings(
-        r=params["r"], snapshot_stride=max(1, n_steps // 4))
     traj = evolution.evolve_nonlinear(theta0, 0.0, None, params["dt"],
-                                      params["t_end"], settings=settings)
+                                      params["t_end"], r=params["r"],
+                                      snapshot_stride=max(1, n_steps // 4))
     tracker = traj.tracker
     refined_run = fields.radius_ode_refined(tracker)
     t_star = fields.radius_ode_linear(tracker.tau0, tracker.k0, tracker.c_r,
@@ -624,19 +647,54 @@ def _run_gevrey_breakdown(params, tols, out_dir, threads):
                             {"tracker": tracker_path})
 
 
+def _resolution_for(j: int, m: int) -> int:
+    # dealias band must keep the linear coupling modes (j, sqrt j, p +- m)
+    return max((3 * (j + 2 * m)) // 2, 8)
+
+
 def _run_lipschitz_blowup(params, tols, out_dir, threads):
+    """Growth ratios ||Theta(t_probe) - Theta0|| / eps over j = k1 = k2^2.
+
+    Each j gets a non-diffusive nonlinear run from Theta0 + eps times the
+    unit eigenmode, a linear slice surrogate run, and the closed form
+    exp(sigma* t_probe).  The analytic window is checked against the
+    perturbation data (tau0 = 1/|k_base|, K0 its Gevrey norm); a j whose
+    window cannot reach t_probe is refused rather than run outside the
+    regime.
+    """
     phys = PhysicalParams.from_mu(omega=params["omega"], mu=params["mu"])
-    table = evolution.lipschitz_blowup_experiment(
-        sorted(params["j_list"]), params["eps"], params["t_probe"],
-        phys=phys, a=params["a"], m=params["m"], dt=params["dt"],
-        workers=threads)
+    a, m, eps, dt = params["a"], params["m"], params["eps"], params["dt"]
+    t_probe = params["t_probe"]
     rows = []
-    for entry in table:
-        rows.append({"j": entry.j, "sigma": entry.sigma,
-                     "ratio_nonlinear": entry.ratio_nonlinear,
-                     "ratio_linear_run": entry.ratio_linear_run,
-                     "ratio_closed_form": entry.ratio_closed_form,
-                     "gap_vs_closed": entry.gap_vs_closed})
+    for j in sorted(params["j_list"]):
+        mp = ModeParams(a=a, m=m, k1=j, k2=_square_root("params.j_list", j),
+                        phys=phys)
+        mode = spectrum.solve_growth_rate(mp)
+        n = _resolution_for(j, m)
+        psi = evolution.eigenmode_field(mode, n)
+        tau0 = 1.0 / math.sqrt(j * j + j + m * m)
+        t_star = tau0 / (2.0 * fields.gevrey_norm(psi, tau0, 3.0) * eps)
+        if t_probe > t_star:
+            raise ExperimentError(
+                "params.t_probe: j = %d: probe time %.3g outside the "
+                "analytic window %.3g" % (j, t_probe, t_star))
+
+        base = evolution.steady_state_field(n, a, m)
+        traj = evolution.evolve_nonlinear(
+            fields.SpectralField(base.coeffs + eps * psi.coeffs), 0.0, None,
+            dt, t_probe, phys=phys, analytic_guard=False, workers=threads)
+        ratio_nl = float(np.linalg.norm(
+            (traj.final.coeffs - base.coeffs).ravel())) / eps
+
+        p_keep = max(8, min(mode.truncation_P, n // m))
+        lin = evolution.evolve_full_slice(
+            evolution.embed_restricted(mp, mode.c_tilde[:p_keep]), dt,
+            t_probe)
+        closed = math.exp(mode.sigma * t_probe)
+        rows.append({"j": j, "sigma": mode.sigma, "ratio_nonlinear": ratio_nl,
+                     "ratio_linear_run": float(lin.norm[-1] / lin.norm[0]),
+                     "ratio_closed_form": closed,
+                     "gap_vs_closed": abs(ratio_nl - closed) / closed})
     ratios = [r["ratio_nonlinear"] for r in rows]
     increasing = all(b > a_ for a_, b in zip(ratios, ratios[1:]))
     worst_gap = max(r["gap_vs_closed"] for r in rows)
@@ -665,9 +723,8 @@ def _run_nonlinear_energy(params, tols, out_dir, threads):
 
     # energy identity with kappa > 0 and no source
     theta0 = _random_smooth_field(n, 0.6, params["seed"], scale=0.5)
-    settings = evolution.NonlinearSettings(workers=threads)
     traj = evolution.evolve_nonlinear(theta0, params["kappa_energy"], None,
-                                      0.01, 0.2, settings=settings)
+                                      0.01, 0.2, workers=threads)
     worst_energy = float(np.max(traj.energy_residual))
     rows.append({"case": "energy_identity", "measured": worst_energy,
                  "target": tols["energy_residual"],
@@ -680,7 +737,7 @@ def _run_nonlinear_energy(params, tols, out_dir, threads):
     base = evolution.steady_state_field(n, a_s, m_s)
     source = evolution.steady_source_field(n, a_s, m_s, kap_s)
     traj = evolution.evolve_nonlinear(base, kap_s, source, 0.02, 1.0,
-                                      settings=settings)
+                                      workers=threads)
     drift = float(np.linalg.norm((traj.final.coeffs - base.coeffs).ravel())
                   / np.linalg.norm(base.coeffs.ravel()))
     rows.append({"case": "steady_state_drift", "measured": drift,
@@ -723,11 +780,9 @@ def _run_nonlinear_energy(params, tols, out_dir, threads):
     source = evolution.steady_source_field(n, a_l, m_l, kap_l)
     psi = evolution.eigenmode_field(mode, n)
     init = fields.SpectralField(base.coeffs + params["eps_lin"] * psi.coeffs)
-    settings_lin = evolution.NonlinearSettings(
-        reference=base, track_magnetic=True, workers=threads)
     t_end = params["steps_lin"] * params["dt_lin"]
     traj = evolution.evolve_nonlinear(init, kap_l, source, params["dt_lin"],
-                                      t_end, settings=settings_lin)
+                                      t_end, reference=base, workers=threads)
     fit_t = evolution.measure_growth_rate(traj.t, traj.pert_l2,
                                           (0.0, t_end))
     fit_b = evolution.measure_growth_rate(traj.t, traj.magnetic_l2,

@@ -12,9 +12,11 @@ and the scalar driving the radius ODEs is a = sum_k |k|^{3/2} |c(k)|.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
+
 
 class GevreyOverflowError(ValueError):
     """Raised when exp(2 tau |k|) overflows for a populated shell."""
@@ -64,14 +66,20 @@ class SpectralField:
             c[_index(k, n)] = v
         return cls(c)
 
-    def wavenumbers(self) -> np.ndarray:
-        """|k| on the coefficient grid."""
-        n = self.n
-        axes = np.meshgrid(*([np.arange(-n, n + 1)] * 3), indexing="ij")
-        return np.sqrt(sum(a.astype(float) ** 2 for a in axes))
-
     def __getitem__(self, k) -> complex:
         return complex(self.coeffs[_index(k, self.n)])
+
+
+@functools.lru_cache(maxsize=16)
+def wavenumber_norms(n: int) -> np.ndarray:
+    """Read-only |k| on the centered cube |k_i| <= n, one cached copy per n
+    (the integer |k|^2 is summed exactly, so every entry is a correctly
+    rounded square root)."""
+    k = np.arange(-n, n + 1)
+    kn = np.sqrt((k[:, None, None] ** 2 + k[None, :, None] ** 2
+                  + k[None, None, :] ** 2).astype(float))
+    kn.flags.writeable = False
+    return kn
 
 
 def _index(k, n: int) -> tuple:
@@ -86,7 +94,7 @@ def _index(k, n: int) -> tuple:
 
 def sobolev_a(fld: SpectralField, s: float = 1.5) -> float:
     """sum |k|^s |c(k)|, the quantity accumulated by the radius ODEs."""
-    kn = fld.wavenumbers()
+    kn = wavenumber_norms(fld.n)
     mask = kn > 0
     return float(np.sum(kn[mask] ** s * np.abs(fld.coeffs[mask])))
 
@@ -99,7 +107,7 @@ def gevrey_norm(fld: SpectralField, tau: float, r: float) -> float:
     """
     if tau < 0:
         raise ValueError("tau must be non-negative")
-    kn = fld.wavenumbers()
+    kn = wavenumber_norms(fld.n)
     mask = kn > 0
     kn = kn[mask]
     mag2 = np.abs(fld.coeffs[mask]) ** 2
@@ -150,7 +158,7 @@ def radius_estimate(fld: SpectralField) -> RadiusEstimate:
     polynomial: the field is entire and radius = +inf.  Fewer than
     _MIN_SHELLS shells above _SHELL_FLOOR raise InsufficientShellsError.
     """
-    kn = fld.wavenumbers().ravel()
+    kn = wavenumber_norms(fld.n).ravel()
     mag = np.abs(fld.coeffs.ravel())
     shell = np.rint(kn).astype(int)
     smax = int(shell.max())

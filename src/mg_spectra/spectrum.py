@@ -348,46 +348,3 @@ def sweep_growth_rates(kappa: float, a: float, m: int, phys: PhysicalParams,
     hi = np.where(root, 1.0 / np.sqrt(al[0] * al[1] - al[0] * al[0]), 0.0)
     sigma = _bisect(below, zero, hi)
     return k1g, k2g, np.where(root, sigma, np.nan).reshape(k1g.shape)
-
-
-@dataclass(frozen=True)
-class OptimalModeResult:
-    """Argmax of the diffusive sweep plus the closed-form predictions."""
-
-    k1: int
-    k2: int
-    mode: UnstableMode
-    k1_predicted: float
-    k2_predicted: float
-    sigma_bound: float
-    bound_met: bool
-
-
-def optimal_diffusive_mode(kappa: float, a: float, m: int,
-                           phys: PhysicalParams, k1_max: int,
-                           k2_max: int) -> OptimalModeResult:
-    """Sweep the integer wavenumber box and return the fastest-growing mode.
-
-    The box must cover the predicted optimum with a factor-4 margin in both
-    directions; this is checked before any work is done.
-    """
-    k1p, k2p = predicted_optimal_mode(kappa, a, m, phys)
-    if k1_max + 1e-9 < 4.0 * k1p or k2_max + 1e-9 < 4.0 * k2p:
-        raise ValueError(
-            "search box (%d, %d) does not cover 4x the predicted optimum "
-            "(%.1f, %.1f)" % (k1_max, k2_max, k1p, k2p)
-        )
-    k1g, k2g, sigma = sweep_growth_rates(kappa, a, m, phys, k1_max, k2_max)
-    if np.all(np.isnan(sigma)):
-        raise BracketError(float("nan"), float("nan"))
-    idx = np.nanargmax(sigma)
-    k1s = int(k1g.ravel()[idx])
-    k2s = int(k2g.ravel()[idx])
-    mp = ModeParams(a=a, m=m, k1=k1s, k2=k2s, phys=phys)
-    mode = solve_growth_rate_diffusive(mp, kappa)
-    if mode is None:
-        raise BracketError(float("nan"), float("nan"))
-    bound = dynamo_bound(kappa, a, phys)
-    return OptimalModeResult(k1=k1s, k2=k2s, mode=mode,
-                             k1_predicted=k1p, k2_predicted=k2p,
-                             sigma_bound=bound, bound_met=mode.sigma >= bound)

@@ -268,8 +268,7 @@ def test_nonlinear_rejects_bad_initial():
         ev.evolve_nonlinear(base, 0.1, fields.SpectralField(wide), 0.01, 0.05)
     with pytest.raises(ValueError, match="reference must lie inside"):
         ev.evolve_nonlinear(base, 0.1, None, 0.01, 0.05,
-                            settings=ev.NonlinearSettings(
-                                reference=fields.SpectralField(wide)))
+                            reference=fields.SpectralField(wide))
     # a source on a larger cube than theta0 is refused, even when it lies
     # inside its own band: modes at +-(7, 0, 1) fall outside theta0's band
     big = np.zeros((33, 33, 33), dtype=complex)
@@ -278,8 +277,7 @@ def test_nonlinear_rejects_bad_initial():
         ev.evolve_nonlinear(base, 0.1, fields.SpectralField(big), 0.01, 0.05)
     with pytest.raises(ValueError, match="reference must share"):
         ev.evolve_nonlinear(base, 0.1, None, 0.01, 0.05,
-                            settings=ev.NonlinearSettings(
-                                reference=fields.SpectralField(big)))
+                            reference=fields.SpectralField(big))
 
 
 def test_nonlinear_steady_state_fixed():
@@ -341,9 +339,8 @@ def test_advection_matches_triad_sum(n):
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(2, 9), seed=st.integers(0, 2 ** 32 - 1),
-       kappa=st.floats(0.0, 2.0), dt=st.floats(1e-3, 0.1),
-       integrating_factor=st.booleans())
-def test_rk4_step_properties(n, seed, kappa, dt, integrating_factor):
+       kappa=st.floats(0.0, 2.0), dt=st.floats(1e-3, 0.1))
+def test_rk4_step_properties(n, seed, kappa, dt):
     solver = ev.NonlinearSolver(n, kappa=kappa)
     cut = solver.cut
     c = ev._band(_smooth_real_field(n, seed), cut)
@@ -351,14 +348,11 @@ def test_rk4_step_properties(n, seed, kappa, dt, integrating_factor):
     # energy: <c, U.grad c> = 0 for the band-limited product
     assert abs(np.vdot(c, adv)) <= 1e-13 * np.linalg.norm(c) \
         * np.linalg.norm(adv)
-    e = None
-    if integrating_factor:
-        e = np.exp(-kappa * solver.ksq * (0.5 * dt))
 
     def rhs(y):
-        return solver.rhs(y, include_diffusion=e is None)[0]
+        return solver.rhs(y)[0]
 
-    y = ev._rk4_step(rhs, c, dt, rhs(c), e)
+    y = ev._rk4_step(rhs, c, dt, rhs(c))
     assert np.array_equal(y, np.conj(y[::-1, ::-1, ::-1]))
     assert np.all(y[:, :, cut] == 0.0)
 
@@ -378,24 +372,20 @@ def test_nonlinear_analytic_window_guard():
         ev.evolve_nonlinear(base, 0.0, None, 0.01, 1e6)
 
 
-def test_resolution_rule():
-    assert ev._resolution_for(1, 1) == 8
-    assert ev._resolution_for(4, 1) == 9
-    assert ev._resolution_for(9, 1) == 16
-    assert ev._resolution_for(16, 1) == 27
-
-
 def test_nonlinear_tracks_perturbation_and_magnetic():
     n = 8
     base = ev.steady_state_field(n, 1.0, 1)
     mode = spectrum.solve_growth_rate(UNIT)
     psi = ev.eigenmode_field(mode, n)
     init = fields.SpectralField(base.coeffs + 1e-4 * psi.coeffs)
-    settings = ev.NonlinearSettings(reference=base, track_magnetic=True)
     traj = ev.evolve_nonlinear(init, 0.05, ev.steady_source_field(n, 1.0, 1, 0.05),
-                               0.01, 0.1, settings=settings)
+                               0.01, 0.1, reference=base)
     assert traj.pert_l2[0] == pytest.approx(1e-4, rel=1e-10)
     assert np.all(traj.magnetic_l2 > 0.0)
+    # without a reference neither norm is recorded
+    bare = ev.evolve_nonlinear(init, 0.05, ev.steady_source_field(n, 1.0, 1, 0.05),
+                               0.01, 0.1)
+    assert np.all(np.isnan(bare.pert_l2)) and np.all(np.isnan(bare.magnetic_l2))
 
 
 def test_divergence_error():
@@ -409,36 +399,6 @@ def test_divergence_error():
         with pytest.raises(ev.DivergenceError):
             ev.evolve_nonlinear(fields.SpectralField(c), 50.0, None, 1.0,
                                 40.0)
-
-
-def test_integrating_factor_rk4_order_and_agreement():
-    c = _smooth_real_field(8, 2)
-    theta = fields.SpectralField(c / np.linalg.norm(c.ravel()))
-
-    def terminal(theta, dt, integrating_factor):
-        settings = ev.NonlinearSettings(integrating_factor=integrating_factor)
-        return ev.evolve_nonlinear(theta, 0.5, None, dt, 0.4,
-                                   settings=settings).final.coeffs
-
-    # one real mode pair k = +-(1, 2, 1): k.M(k) = 0 removes the advection,
-    # so the factor alone gives the exact decay exp(-kappa |k|^2 t)
-    pair = np.zeros_like(c)
-    pair[9, 10, 9] = pair[7, 6, 7] = 0.5
-    # kappa |k|^2 dt reaches 9.6 at dt = 0.1: explicit RK4 would diverge
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        ref = terminal(theta, 0.00625, True)
-        err = [np.linalg.norm((terminal(theta, dt, True) - ref).ravel())
-               for dt in (0.1, 0.05, 0.025)]
-        decayed = terminal(fields.SpectralField(pair), 0.1, True)
-    for ratio in (err[0] / err[1], err[1] / err[2]):
-        assert 12.8 <= ratio <= 19.2
-    explicit = terminal(theta, 0.00625, False)
-    gap = np.linalg.norm((explicit - ref).ravel())
-    assert gap <= 1e-8 * np.linalg.norm(explicit.ravel())
-    exact = pair * np.exp(-0.5 * 6.0 * 0.4)
-    assert np.linalg.norm((decayed - exact).ravel()) \
-        <= 1e-14 * np.linalg.norm(exact.ravel())
 
 
 def test_rk4_step_is_the_textbook_formula():
@@ -455,13 +415,3 @@ def test_rk4_step_is_the_textbook_formula():
     k4 = rhs(y + dt * k3)
     textbook = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     assert np.array_equal(ev._rk4_step(rhs, y, dt, k1), textbook)
-    # integrating factor: RK4 on exp(D t) y with D = diag(d) taken out of
-    # the right-hand side (Lawson's scheme), written out stage by stage
-    d = np.array([0.5, 2.0, 4.0])
-    e = np.exp(-d * 0.5 * dt)
-    k2 = rhs(e * (y + 0.5 * dt * k1))
-    k3 = rhs(e * y + 0.5 * dt * k2)
-    k4 = rhs(e * e * y + dt * e * k3)
-    lawson = e * e * y + dt / 6.0 * (e * e * k1 + 2.0 * e * (k2 + k3) + k4)
-    assert np.allclose(ev._rk4_step(rhs, y, dt, k1, e), lawson,
-                       rtol=1e-15, atol=0.0)

@@ -50,14 +50,48 @@ def test_validate_config_merge_and_types():
     pytest.param({"experiment": "illposed-scaling",
                   "params": {"j_list": ["a"]}},
                  "params.j_list[0]: expected an integer", id="j_list-string"),
+    # every number is positive; seeds and the oracle kappas may be zero
+    pytest.param({"experiment": "slice-growth", "params": {"dt": -0.05}},
+                 "params.dt: expected a positive number", id="dt-negative"),
+    pytest.param({"experiment": "slice-growth", "params": {"P": 0}},
+                 "params.P: expected a positive number", id="P-zero"),
+    pytest.param({"experiment": "dynamo-scaling",
+                  "params": {"kappas": [1e-2, 0.0]}},
+                 "params.kappas[1]: expected a positive number",
+                 id="dynamo-kappa-zero"),
+    pytest.param({"experiment": "oracle-xcheck",
+                  "params": {"kappas": [0.0, -1e-3]}},
+                 "params.kappas[1]: expected a non-negative number",
+                 id="oracle-kappa-negative"),
+    pytest.param({"experiment": "gevrey-breakdown", "params": {"seed": -1}},
+                 "params.seed: expected a non-negative number",
+                 id="seed-negative"),
+    # j_list entries are the modes k1 = j, k2 = sqrt(j)
+    pytest.param({"experiment": "illposed-scaling",
+                  "params": {"j_list": [2]}},
+                 "params.j_list[0]: 2 is not a perfect square",
+                 id="illposed-j-2"),
+    pytest.param({"experiment": "lipschitz-blowup",
+                  "params": {"j_list": [1, 2]}},
+                 "params.j_list[1]: 2 is not a perfect square",
+                 id="lipschitz-j-2"),
 ])
 def test_validate_config_rejects(config, fragment):
     name = config.get("experiment", "sigma-table")
-    if name == "oracle-xcheck":
+    if config == {"experiment": "oracle-xcheck"}:
         name = "sigma-table"  # the mismatch is the fault under test
     with pytest.raises(experiments.ExperimentError) as err:
         experiments.validate_config(name, config)
     assert fragment in str(err.value)
+
+
+def test_validate_config_takes_zero_seeds_and_oracle_kappas():
+    params, _ = experiments.validate_config(
+        "gevrey-breakdown", {"params": {"seed": 0}})
+    assert params["seed"] == 0
+    params, _ = experiments.validate_config(
+        "oracle-xcheck", {"params": {"kappas": [0, 1e-3]}})
+    assert params["kappas"] == [0.0, 1e-3]
 
 
 def test_validate_config_keeps_integral_floats():
@@ -112,6 +146,37 @@ def test_determinism_bytes(tmp_path):
         assert b1 == b2
 
 
+def test_resolution_rule():
+    assert experiments._resolution_for(1, 1) == 8
+    assert experiments._resolution_for(4, 1) == 9
+    assert experiments._resolution_for(9, 1) == 16
+    assert experiments._resolution_for(16, 1) == 27
+
+
+def test_optimal_mode_small_case(tmp_path):
+    # kappa = 1e-2 sweeps the box ceil(4 k_pred) = (50, 29)
+    res = experiments.run_experiment(
+        "dynamo-scaling", {"params": {"kappas": [1e-2]}}, str(tmp_path), 1)
+    (row,) = res.rows
+    assert (row["k1_max"], row["k2_max"]) == (50, 29)
+    assert (row["k1_argmax"], row["k2_argmax"]) == (17, 8)
+    assert row["sigma_max"] == pytest.approx(3.5794, abs=2e-4)
+    assert row["bound_met"]
+    assert row["sigma_bound"] == pytest.approx(16.0 / 10.24, rel=1e-12)
+
+
+def test_oracle_xcheck_without_any_root(tmp_path):
+    # kappa = 10 kills the unit mode: nothing to match, and the dense
+    # top eigenvalue is negative
+    res = experiments.run_experiment(
+        "oracle-xcheck", {"params": {"values": [1], "kappas": [10.0]}},
+        str(tmp_path), 1)
+    assert [r["root"] for r in res.rows] == [False]
+    assert res.passed
+    assert {c["name"]: c["measured"] for c in res.checks}[
+        "cf_matches_matrix"] == 0.0
+
+
 def test_illposed_small_and_plot_data(tmp_path):
     cfg = {"params": {"j_list": [1, 4, 9]}}
     res = experiments.run_experiment("illposed-scaling", cfg, str(tmp_path), 1)
@@ -153,6 +218,25 @@ def test_cli_bad_list_entry_is_a_usage_error(tmp_path, capsys):
         cli.main(["illposed-scaling", "--config", str(cfg), "--validate-only"])
     assert err.value.code == 2
     assert "usage error: params.j_list[0]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,params,fragment", [
+    ("slice-growth", {"dt": -0.05}, "params.dt"),
+    # validates, but the run finds no unstable mode in the box
+    ("diffusive-sweep", {"kappa": 10.0, "k1_max": 4, "k2_max": 3},
+     "kappa = 10: no unstable mode in the box [1, 4] x [1, 3]"),
+    # validates, but j = 1 cannot reach the probe time analytically
+    ("lipschitz-blowup", {"j_list": [1], "t_probe": 1e6},
+     "params.t_probe: j = 1"),
+])
+def test_cli_range_faults_are_usage_errors(tmp_path, capsys, name, params,
+                                           fragment):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"params": params}))
+    with pytest.raises(SystemExit) as err:
+        cli.main([name, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert err.value.code == 2
+    assert "usage error: " + fragment in capsys.readouterr().err
 
 
 def test_cli_missing_config_file(tmp_path):
@@ -212,6 +296,25 @@ def test_slice_growth_trajectory_frozen(tmp_path):
     assert res.passed
     data = (tmp_path / "trajectory.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == SLICE_GROWTH_TRAJECTORY_SHA256
+
+
+# sha256 of the default `diffusive-sweep` and `dynamo-scaling` results.csv:
+# every swept root with its lower bound, and each kappa's argmax, its
+# scalar re-solve and its slice rates, at 17 digits
+SWEEP_RESULTS_SHA256 = {
+    "diffusive-sweep":
+        "7fbb35be3033b50eec88a212302b205d1483cb4b772e8ebafb77381dd76ad55c",
+    "dynamo-scaling":
+        "7b4489ebdf3607ce7a3dc2e244585191737c0d9b136c26ac2adef6894c71c35a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_RESULTS_SHA256))
+def test_sweep_results_frozen(tmp_path, name):
+    res = experiments.run_experiment(name, {}, str(tmp_path), 1)
+    assert res.passed
+    data = (tmp_path / "results.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == SWEEP_RESULTS_SHA256[name]
 
 
 def test_cli_plot_data_unmapped(tmp_path, capsys):

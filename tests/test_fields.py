@@ -68,6 +68,17 @@ def test_from_modes_and_getitem():
             SpectralField.from_modes(3, {k: 1.0})
 
 
+def test_wavenumber_norms_is_one_read_only_grid_per_n():
+    kn = fields.wavenumber_norms(3)
+    assert kn is fields.wavenumber_norms(3)
+    assert not kn.flags.writeable
+    k = np.arange(-3, 4)
+    k1, k2, k3 = np.meshgrid(k, k, k, indexing="ij")
+    assert np.array_equal(kn, np.sqrt((k1 ** 2 + k2 ** 2 + k3 ** 2)
+                                      .astype(float)))
+    assert kn[3 + 1, 3 + 2, 3 - 2] == 3.0
+
+
 def test_sobolev_a_hand_value():
     f = _pair_field(amp=0.5, k=(1, 0, 1))
     # a = sum |k|^{3/2} |c| over both conjugate modes, |k| = sqrt(2)

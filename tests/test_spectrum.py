@@ -260,18 +260,3 @@ def test_sweep_matches_scalar():
             assert np.isnan(sg[i, j])
         else:
             assert sg[i, j] == pytest.approx(mode.sigma, rel=1e-9)
-
-
-def test_optimal_mode_box_precondition():
-    phys = PhysicalParams()
-    with pytest.raises(ValueError):
-        spectrum.optimal_diffusive_mode(1e-2, 4.0, 1, phys, 10, 10)
-
-
-def test_optimal_mode_small_case():
-    phys = PhysicalParams()
-    res = spectrum.optimal_diffusive_mode(1e-2, 4.0, 1, phys, 50, 29)
-    assert (res.k1, res.k2) == (17, 8)
-    assert res.mode.sigma == pytest.approx(3.5794, abs=2e-4)
-    assert res.bound_met
-    assert res.sigma_bound == pytest.approx(16.0 / 10.24, rel=1e-12)
