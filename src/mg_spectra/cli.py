@@ -9,7 +9,8 @@ Exit status is 0 only when every check of the experiment passed, and 2
 for a usage error: a config that fails validation, or one the run finds
 it cannot serve (a sweep box with no unstable mode, say).  Thread
 count comes from --threads, else the MG_SPECTRA_THREADS environment
-variable, else 1.
+variable, else 1, and is capped at the number of CPUs the process may
+run on.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None,
                        help="output directory (default: ./out/<experiment>)")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: %s or 1)"
-                       % _ENV_THREADS)
+                       help="worker threads, at most the usable CPUs "
+                       "(default: %s or 1)" % _ENV_THREADS)
         p.add_argument("--validate-only", action="store_true",
                        help="check the config and exit without running")
 
@@ -58,16 +59,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_threads(arg_value) -> int:
+    """The thread count, from 1 up to the CPUs this process may run on."""
+    value = 1
     if arg_value is not None:
-        return max(1, int(arg_value))
-    env = os.environ.get(_ENV_THREADS)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise SystemExit("%s must be an integer, got %r"
-                             % (_ENV_THREADS, env))
-    return 1
+        value = int(arg_value)
+    else:
+        env = os.environ.get(_ENV_THREADS)
+        if env:
+            try:
+                value = int(env)
+            except ValueError:
+                raise SystemExit("%s must be an integer, got %r"
+                                 % (_ENV_THREADS, env))
+    return min(max(1, value), len(os.sched_getaffinity(0)))
 
 
 def main(argv=None) -> int:

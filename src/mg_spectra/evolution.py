@@ -15,8 +15,10 @@ Conventions: Theta(x) = sum_k c(k) exp(i k.x) on the centered cube
 |k|_inf <= N; norms are coefficient-l2.  The nonlinear solver holds its
 state on the 2/3 band |k_i| <= cut = (2N+1)//3 and forms products on an
 alias-free L^3 grid, L = next_fast_len(3 cut + 1) (64 at N = 32); fields
-cross its API as full centered cubes.  Both integrators take fixed
-steps of one classical RK4 step, `_rk4_step`.
+cross its API as full centered cubes.  The solver owns its L^3 work grids
+and transforms in place on them, so a step allocates no grid and a solver
+is not shared across threads.  Both integrators take fixed steps of one
+classical RK4 step, `_rk4_step`.
 """
 
 from __future__ import annotations
@@ -343,6 +345,11 @@ class NonlinearSolver:
     grid, L = next_fast_len(3 cut + 1), in four transforms: inverse ones
     of Theta + i U3 and U1 + i U2, a forward one of U1 Theta + i U2 Theta
     split by Hermitian symmetry, and a real forward one of U3 Theta.
+
+    The solver owns its L^3 work grids: the three complex transforms run in
+    place on them, and only the real transform's half spectrum is allocated
+    per call.  It therefore holds mutable state and must not be shared
+    between threads; each evolve_nonlinear call builds its own.
     """
 
     def __init__(self, n: int, phys: PhysicalParams = None, kappa: float = 0.0,
@@ -370,29 +377,35 @@ class NonlinearSolver:
         self._half_r = np.ravel_multi_index(half, (side, side, side // 2 + 1),
                                             mode="wrap")
         self._ik1, self._k2, self._ik3 = 0.5j * k1, 0.5 * k2, 1j * half[2]
-        self._grid = np.zeros(grid, dtype=np.complex128)
+        # work grids: Theta + i U3, U1 + i U2, and the two products with Theta
+        self._z = np.zeros(grid, dtype=np.complex128)
+        self._u = np.zeros(grid, dtype=np.complex128)
+        self._prod = np.empty(grid, dtype=np.complex128)
+        self._prod_r = np.empty(grid, dtype=float)
 
-    def _to_phys(self, spec: np.ndarray) -> np.ndarray:
-        np.put(self._grid, self._put, spec)
-        return scipy.fft.ifftn(self._grid, norm="forward",
-                               workers=self.workers)
+    def _to_phys(self, spec: np.ndarray, grid: np.ndarray) -> np.ndarray:
+        """Band coefficients spec to grid values, in place in grid."""
+        grid.fill(0.0)
+        np.put(grid, self._put, spec)
+        return scipy.fft.ifftn(grid, norm="forward", workers=self.workers,
+                               overwrite_x=True)
 
-    def advection(self, c: np.ndarray):
-        """Band coefficients of U . grad Theta, plus max |U_j| on the grid.
+    def advection(self, c: np.ndarray) -> np.ndarray:
+        """Band coefficients of U . grad Theta.
 
-        c is any centred cube holding the band; only its band is read.
+        c is any centred cube holding the band; only its band is read.  The
+        grids keep U until the next call, for max_speed.
         """
         c = _band(c, self.cut)
         m1, m2, m3 = self.msym
-        z = self._to_phys(c + 1j * (m3 * c))          # Theta + i U3
+        z = self._to_phys(c + 1j * (m3 * c), self._z)         # Theta + i U3
         theta = z.real
-        u = self._to_phys(m1 * c + 1j * (m2 * c))     # U1 + i U2
-        max_u = max(float(np.abs(u.real).max()), float(np.abs(u.imag).max()),
-                    float(np.abs(z.imag).max()))
-        f = scipy.fft.fftn(u * theta, norm="forward",
-                           workers=self.workers).ravel()
-        r = scipy.fft.rfftn(z.imag * theta, norm="forward",
-                            workers=self.workers).ravel()
+        u = self._to_phys(m1 * c + 1j * (m2 * c), self._u)    # U1 + i U2
+        f = scipy.fft.fftn(np.multiply(u, theta, out=self._prod),
+                           norm="forward", workers=self.workers,
+                           overwrite_x=True).ravel()
+        r = scipy.fft.rfftn(np.multiply(z.imag, theta, out=self._prod_r),
+                            norm="forward", workers=self.workers).ravel()
         # F = A + iB with A, B the spectra of U1 Theta and U2 Theta, so
         # i k1 A + i k2 B = (i k1/2)(F(k) + conj F(-k))
         #                   + (k2/2)(F(k) - conj F(-k))
@@ -403,14 +416,22 @@ class NonlinearSolver:
         adv = np.zeros_like(self.source)
         adv[:, :, self.cut + 1:] = half
         adv[:, :, :self.cut] = np.conj(half[::-1, ::-1, ::-1])
-        return adv, max_u
+        return adv
+
+    def max_speed(self) -> float:
+        """max |U_j| over the grid and j = 1, 2, 3 for the field of the
+        last advection call (0 before the first)."""
+        u12, u3 = self._u.view(float), self._z.imag
+        return max(float(u12.max()), -float(u12.min()),
+                   float(u3.max()), -float(u3.min()))
 
     def rhs(self, c: np.ndarray):
-        adv, max_u = self.advection(c)
+        """(d c/dt, advection) at the band state c."""
+        adv = self.advection(c)
         out = self.source - adv
         if self.kappa:
             out = out - self.kappa * self.ksq * c
-        return out, adv, max_u
+        return out, adv
 
     def diagnostics(self, c: np.ndarray, adv: np.ndarray) -> float:
         """Energy-identity residual |<c, adv>| over kappa |grad c|^2, or
@@ -540,13 +561,15 @@ def evolve_nonlinear(theta0: SpectralField, kappa: float,
     cfl_warned = False
     for i in range(n_steps + 1):
         # stage one doubles as the diagnostic evaluation at the current state
-        k1, adv, max_u = solver.rhs(c)
+        k1, adv = solver.rhs(c)
+        if not cfl_warned:
+            cfl = solver.max_speed() * dt * n
+            if cfl > 0.5:
+                warnings.warn(
+                    "CFL heuristic exceeded: max|U| dt N = %.3g > 0.5" % cfl,
+                    RuntimeWarning)
+                cfl_warned = True
         rows.append(record(c, adv, i * dt))
-        if not cfl_warned and max_u * dt * n > 0.5:
-            warnings.warn(
-                "CFL heuristic exceeded: max|U| dt N = %.3g > 0.5"
-                % (max_u * dt * n), RuntimeWarning)
-            cfl_warned = True
         if snapshot_stride and i % snapshot_stride == 0:
             snaps.append((i * dt, SpectralField(_pad(c, n))))
         if i == n_steps:

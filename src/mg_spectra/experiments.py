@@ -52,11 +52,13 @@ _SCHEMAS = {
         "params": {"values": [1, 2, 4], "kappas": [0.0, 1e-3], "P": 128,
                    "omega": 1.0, "mu": 1.0},
         "tolerances": {"rel_diff": 1e-8, "absent_eig": 1e-10},
+        "minimums": {"params.P": 8},
     },
     "slice-growth": {
         "params": {"a": 1.0, "m": 1, "k1": 1, "k2": 1, "omega": 1.0,
                    "mu": 1.0, "P": 128, "dt": 0.05},
         "tolerances": {"eigen_rel": 1e-3, "generic_rel": 1e-2},
+        "minimums": {"params.P": 8},
     },
     "illposed-scaling": {
         "params": {"j_list": [1, 4, 9, 16, 25, 36, 49, 64], "a": 1.0, "m": 1,
@@ -72,6 +74,7 @@ _SCHEMAS = {
         "params": {"kappas": [1e-2, 3e-3, 1e-3], "a": 4.0, "m": 1,
                    "omega": 1.0, "mu": 1.0, "slice_P": 48},
         "tolerances": {"argmax_factor": 2.0, "rate_rel": 2e-2},
+        "minimums": {"params.slice_P": 8},
     },
     "gevrey-breakdown": {
         "params": {"n": 16, "n_fit": 64, "tau_field": 0.5, "decay_power": 3,
@@ -93,6 +96,7 @@ _SCHEMAS = {
         "tolerances": {"energy_residual": 1e-8, "steady_drift": 1e-10,
                        "rk4_low": 12.8, "rk4_high": 19.2, "rate_rel": 2e-2,
                        "pert_ceiling": 1e-3},
+        "minimums": {"params.steps_lin": 9},
     },
 }
 
@@ -135,7 +139,9 @@ def validate_config(name: str, config: dict):
     that are not perfect squares are rejected with the field path in the
     message, down to the list entry (params.j_list[0]).  Every number must
     be positive, except the seeds and the oracle-xcheck kappas, which may
-    be zero.
+    be zero.  A field listed in the schema's minimums must reach it: the
+    slice truncations P and slice_P >= 8, and steps_lin >= 9 (a rate fit
+    takes 10 samples).
     """
     if name not in _SCHEMAS:
         raise ExperimentError("unknown experiment %r" % name)
@@ -173,6 +179,10 @@ def validate_config(name: str, config: dict):
                         _square_root("%s[%d]" % (path, i), j)
             else:
                 value = _number(path, default, value, may_be_zero)
+                floor = schema.get("minimums", {}).get(path)
+                if floor is not None and value < floor:
+                    raise ExperimentError("%s: expected at least %d, got %d"
+                                          % (path, floor, value))
             merged[key] = value
         out[section] = merged
     return out["params"], out["tolerances"]
@@ -544,6 +554,12 @@ def _run_gevrey_breakdown(params, tols, out_dir, threads):
     rows = []
     checks = []
 
+    n_steps = int(round(params["t_end"] / params["dt"]))
+    if n_steps < 1:
+        raise ExperimentError(
+            "params.t_end: %g is less than half a step dt = %g; the tracker "
+            "needs two samples" % (params["t_end"], params["dt"]))
+
     # synthetic radius fits at the larger resolution
     worst_fit = 0.0
     for tau in (0.1, 0.5, 2.0):
@@ -575,16 +591,22 @@ def _run_gevrey_breakdown(params, tols, out_dir, threads):
     checks.append(_check("spike_fails_criterion",
                          not fields.breakdown_criterion(spike), False, False))
 
-    # tracked nonlinear run, on the band the solver holds
+    # tracked nonlinear run, on the band the solver holds; its analytic
+    # guard fits the radius of the initial data before the first step
     theta0 = _synthetic_decay_field(params["n"], params["tau_field"],
                                     float(params["decay_power"]),
                                     params["amplitude"],
                                     seed=params["seed"])
     theta0 = fields.SpectralField(evolution.band_limit(theta0.coeffs))
-    n_steps = int(round(params["t_end"] / params["dt"]))
-    traj = evolution.evolve_nonlinear(theta0, 0.0, None, params["dt"],
-                                      params["t_end"], r=params["r"],
-                                      snapshot_stride=max(1, n_steps // 4))
+    try:
+        traj = evolution.evolve_nonlinear(
+            theta0, 0.0, None, params["dt"], params["t_end"], r=params["r"],
+            snapshot_stride=max(1, n_steps // 4))
+    except fields.InsufficientShellsError as exc:
+        raise ExperimentError(
+            "params.n, params.tau_field: the dealias band of n = %d holds "
+            "too few shells of the initial data to estimate its analyticity "
+            "radius (%s)" % (params["n"], exc))
     tracker = traj.tracker
     refined_run = fields.radius_ode_refined(tracker)
     t_star = fields.radius_ode_linear(tracker.tau0, tracker.k0, tracker.c_r,
@@ -721,6 +743,24 @@ def _run_nonlinear_energy(params, tols, out_dir, threads):
     rows = []
     checks = []
 
+    # the linearized case needs an unstable mode inside the dealias band;
+    # find out before any run starts
+    a_l, m_l = params["a_lin"], params["m_lin"]
+    kap_l = params["kappa_lin"]
+    mp = _mode(a_l, m_l, params["k1_lin"], params["k2_lin"], 1.0, 1.0)
+    mode = spectrum.solve_growth_rate_diffusive(mp, kap_l)
+    if mode is None:
+        raise ExperimentError(
+            "params.k1_lin, params.k2_lin: the mode (%d, %d) is stable at "
+            "kappa_lin = %g (a_lin = %g, m_lin = %d)"
+            % (mp.k1, mp.k2, kap_l, a_l, m_l))
+    cut = evolution.dealias_cut(n)
+    if max(mp.k1, mp.k2, mp.m) > cut:
+        raise ExperimentError(
+            "params.n: the dealias band |k_i| <= %d of n = %d does not hold "
+            "the mode (k1, k2, m) = (%d, %d, %d)"
+            % (cut, n, mp.k1, mp.k2, mp.m))
+
     # energy identity with kappa > 0 and no source
     theta0 = _random_smooth_field(n, 0.6, params["seed"], scale=0.5)
     traj = evolution.evolve_nonlinear(theta0, params["kappa_energy"], None,
@@ -772,10 +812,6 @@ def _run_nonlinear_energy(params, tols, out_dir, threads):
 
     # linearization about the steady state at kappa > 0, with the magnetic
     # perturbation rate from the induced field
-    a_l, m_l = params["a_lin"], params["m_lin"]
-    kap_l = params["kappa_lin"]
-    mp = _mode(a_l, m_l, params["k1_lin"], params["k2_lin"], 1.0, 1.0)
-    mode = spectrum.solve_growth_rate_diffusive(mp, kap_l)
     base = evolution.steady_state_field(n, a_l, m_l)
     source = evolution.steady_source_field(n, a_l, m_l, kap_l)
     psi = evolution.eigenmode_field(mode, n)

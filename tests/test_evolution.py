@@ -1,13 +1,15 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from mg_spectra.params import ModeParams, PhysicalParams
 from mg_spectra import evolution as ev
-from mg_spectra import fields, spectrum
+from mg_spectra import experiments, fields, spectrum
 from mg_spectra.symbols import b_symbol, m_symbol
 
 UNIT = ModeParams()
@@ -332,7 +334,7 @@ def test_advection_matches_triad_sum(n):
     # the solver reads the band of the full cube it is given
     phys = PhysicalParams(omega=1.3, beta=0.9)
     c = _smooth_real_field(n, n)
-    adv, _ = ev.NonlinearSolver(n, phys=phys).advection(c)
+    adv = ev.NonlinearSolver(n, phys=phys).advection(c)
     ref = _triad_sum(c, phys)
     assert np.abs(adv - ref).max() <= 1e-13 * np.abs(ref).max()
 
@@ -344,7 +346,7 @@ def test_rk4_step_properties(n, seed, kappa, dt):
     solver = ev.NonlinearSolver(n, kappa=kappa)
     cut = solver.cut
     c = ev._band(_smooth_real_field(n, seed), cut)
-    adv, _ = solver.advection(c)
+    adv = solver.advection(c)
     # energy: <c, U.grad c> = 0 for the band-limited product
     assert abs(np.vdot(c, adv)) <= 1e-13 * np.linalg.norm(c) \
         * np.linalg.norm(adv)
@@ -355,6 +357,93 @@ def test_rk4_step_properties(n, seed, kappa, dt):
     y = ev._rk4_step(rhs, c, dt, rhs(c))
     assert np.array_equal(y, np.conj(y[::-1, ::-1, ::-1]))
     assert np.all(y[:, :, cut] == 0.0)
+
+
+def _advection_allocating(solver, c):
+    """(advection, max |U_j|) by the transform path with a fresh array per
+    transform and product: the reference for the solver's in-place path."""
+    c = ev._band(c, solver.cut)
+    m1, m2, m3 = solver.msym
+
+    def to_phys(spec):
+        grid = np.zeros(solver._z.shape, dtype=np.complex128)
+        np.put(grid, solver._put, spec)
+        return scipy.fft.ifftn(grid, norm="forward")
+
+    z = to_phys(c + 1j * (m3 * c))
+    theta = z.real
+    u = to_phys(m1 * c + 1j * (m2 * c))
+    max_u = max(float(np.abs(u.real).max()), float(np.abs(u.imag).max()),
+                float(np.abs(z.imag).max()))
+    f = scipy.fft.fftn(u * theta, norm="forward").ravel()
+    r = scipy.fft.rfftn(z.imag * theta, norm="forward").ravel()
+    fp = f[solver._half]
+    fm = np.conj(f[solver._mirror])
+    half = solver._ik1 * (fp + fm) + solver._k2 * (fp - fm) \
+        + solver._ik3 * r[solver._half_r]
+    adv = np.zeros_like(solver.source)
+    adv[:, :, solver.cut + 1:] = half
+    adv[:, :, :solver.cut] = np.conj(half[::-1, ::-1, ::-1])
+    return adv, max_u
+
+
+@pytest.mark.parametrize("n,side", [(8, 16), (16, 35)])
+def test_advection_in_place_matches_allocating_path(n, side):
+    solver = ev.NonlinearSolver(n, phys=PhysicalParams(omega=1.3, beta=0.9))
+    assert solver._z.shape == (side,) * 3
+    c = _smooth_real_field(n, n + 1)
+    adv, max_u = _advection_allocating(solver, c)
+    assert np.array_equal(solver.advection(c), adv)
+    assert solver.max_speed() == max_u > 0.0
+
+
+def test_solver_grids_keep_nothing_between_calls():
+    n = 8
+    used = ev.NonlinearSolver(n, kappa=0.3)
+    fresh = ev.NonlinearSolver(n, kappa=0.3)
+    a, b = (ev._band(_smooth_real_field(n, seed), used.cut)
+            for seed in (21, 22))
+    used.rhs(a)
+    out, adv = used.rhs(b)
+    out_fresh, adv_fresh = fresh.rhs(b)
+    assert np.array_equal(adv, adv_fresh)
+    assert np.array_equal(out, out_fresh)
+    assert used.max_speed() == fresh.max_speed()
+
+
+def test_warm_rhs_allocates_no_grid():
+    # n = 32: each complex 64^3 grid is 4 MiB; the transforms run in place
+    # on the solver's grids, and only the real transform's 2.1 MiB half
+    # spectrum and band-sized arrays are new per call
+    solver = ev.NonlinearSolver(32, kappa=0.1)
+    c = ev._band(_smooth_real_field(32, 5), solver.cut)
+    solver.rhs(c)
+    tracemalloc.start()
+    try:
+        solver.rhs(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2 ** 20
+
+
+def test_cfl_warning_fires_once_on_the_coarse_order_run():
+    # the dt = 0.1 run of nonlinear-energy's RK4 order case, default seed
+    smooth = experiments._random_smooth_field(12, 1.0, 8, scale=1.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ev.evolve_nonlinear(smooth, 0.02, None, 0.1, 0.4)
+    assert [(w.category, str(w.message)) for w in caught] == [
+        (RuntimeWarning, "CFL heuristic exceeded: max|U| dt N = 2.31 > 0.5")]
+
+
+def test_nonlinear_final_independent_of_workers():
+    c = _smooth_real_field(16, 3)
+    c *= 0.3 / np.linalg.norm(c.ravel())
+    final = [ev.evolve_nonlinear(fields.SpectralField(c), 0.1, None, 0.01,
+                                 0.05, workers=w).final.coeffs
+             for w in (1, 2)]
+    assert np.array_equal(final[0], final[1])
 
 
 def test_nonlinear_energy_identity_small():

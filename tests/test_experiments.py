@@ -228,6 +228,22 @@ def test_cli_bad_list_entry_is_a_usage_error(tmp_path, capsys):
     # validates, but j = 1 cannot reach the probe time analytically
     ("lipschitz-blowup", {"j_list": [1], "t_probe": 1e6},
      "params.t_probe: j = 1"),
+    # the slice truncations have a floor of 8
+    ("oracle-xcheck", {"values": [1], "P": 4},
+     "params.P: expected at least 8, got 4"),
+    ("slice-growth", {"P": 4}, "params.P: expected at least 8, got 4"),
+    ("dynamo-scaling", {"slice_P": 7},
+     "params.slice_P: expected at least 8, got 7"),
+    # the default mode k1_lin = 12 lies outside the band |k_i| <= 3 of n = 4
+    ("nonlinear-energy", {"n": 4}, "params.n: the dealias band |k_i| <= 3"),
+    # (40, 7) is stable at kappa_lin, so there is no eigenmode to seed
+    ("nonlinear-energy", {"k1_lin": 40},
+     "params.k1_lin, params.k2_lin: the mode (40, 7) is stable"),
+    ("nonlinear-energy", {"steps_lin": 8}, "params.steps_lin"),
+    # no step is taken, so the tracker holds one sample
+    ("gevrey-breakdown", {"t_end": 0.001}, "params.t_end"),
+    # the band |k_i| <= 1 holds 2 shells, and a radius fit needs 6
+    ("gevrey-breakdown", {"n": 2}, "params.n, params.tau_field"),
 ])
 def test_cli_range_faults_are_usage_errors(tmp_path, capsys, name, params,
                                            fragment):
@@ -256,12 +272,22 @@ def test_cli_run_and_exit_zero(tmp_path, capsys):
 
 
 def test_cli_env_threads(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
     monkeypatch.setenv("MG_SPECTRA_THREADS", "3")
     assert cli._resolve_threads(None) == 3
     monkeypatch.setenv("MG_SPECTRA_THREADS", "junk")
     with pytest.raises(SystemExit):
         cli._resolve_threads(None)
     assert cli._resolve_threads(2) == 2
+    assert cli._resolve_threads(0) == 1
+
+
+def test_cli_threads_capped_at_affinity(monkeypatch):
+    # resolving the count starts no thread
+    cpus = len(os.sched_getaffinity(0))
+    assert cli._resolve_threads(10 ** 6) == cpus
+    monkeypatch.setenv("MG_SPECTRA_THREADS", str(10 ** 6))
+    assert cli._resolve_threads(None) == cpus
 
 
 def test_cli_symbol_table(tmp_path, capsys):
