@@ -49,6 +49,10 @@ class DivergenceError(RuntimeError):
         self.step = step
 
 
+class AnalyticWindowError(ValueError):
+    """An inviscid horizon beyond the analytic window of the initial data."""
+
+
 def _rk4_step(rhs, y, dt: float, k1):
     """One classical RK4 step from y, given the first slope k1 = rhs(y)."""
     h = 0.5 * dt
@@ -531,7 +535,7 @@ def evolve_nonlinear(theta0: SpectralField, kappa: float,
         if k0 > 0:
             t_star = tau0 / (2.0 * k0)
             if t_end > t_star:
-                raise ValueError(
+                raise AnalyticWindowError(
                     "horizon %.4g exceeds the analytic window %.4g "
                     "(tau0 = %.4g, K0 = %.4g)" % (t_end, t_star, tau0, k0))
         tracker = GevreyTracker(tau0=tau0, k0=k0, max_gap=2.0 * dt)

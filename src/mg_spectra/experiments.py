@@ -8,8 +8,8 @@ nonlinear solver invariants.
 
 Every experiment writes results.csv (deterministic bytes for a fixed
 config) and summary.json (pass/fail per check, measured values,
-tolerances, wall time) into its output directory, and exits nonzero when
-any check fails.
+tolerances, wall time, and the work counters a runner keeps) into its
+output directory, and exits nonzero when any check fails.
 """
 
 from __future__ import annotations
@@ -234,12 +234,14 @@ def _check(name, passed, measured, tolerance) -> dict:
 
 
 class ExperimentResult:
-    def __init__(self, name, columns, rows, checks, extra_files=None):
+    def __init__(self, name, columns, rows, checks, extra_files=None,
+                 counters=None):
         self.name = name
         self.columns = columns
         self.rows = rows
         self.checks = checks
         self.extra_files = extra_files or {}
+        self.counters = counters
 
     @property
     def passed(self) -> bool:
@@ -437,6 +439,13 @@ def _run_illposed_scaling(params, tols, out_dir, threads):
     return ExperimentResult("illposed-scaling", columns, rows, checks)
 
 
+def _sweep_counters(sweep, kappa):
+    """A sweep box's pairs, and those with a root: the pairs bisected."""
+    sigma = sweep[2]
+    return {"kappa": kappa, "pairs": int(sigma.size),
+            "pairs_bisected": int(np.count_nonzero(~np.isnan(sigma)))}
+
+
 def _argmax_mode(sweep, kappa, a, m, phys):
     """The fastest-growing mode of a sweep_growth_rates box, re-solved by
     the scalar solver: (the box's sigma there, the UnstableMode)."""
@@ -484,7 +493,9 @@ def _run_diffusive_sweep(params, tols, out_dir, threads):
                bound_violations, 0),
     ]
     columns = ["k1", "k2", "sigma", "lower_bound"]
-    return ExperimentResult("diffusive-sweep", columns, rows, checks)
+    return ExperimentResult("diffusive-sweep", columns, rows, checks,
+                            counters={"sweep": [_sweep_counters(sweep,
+                                                                kappa)]})
 
 
 def _slice_rate_pair(mode, slice_p):
@@ -509,21 +520,22 @@ def _run_dynamo_scaling(params, tols, out_dir, threads):
         k1p, k2p = spectrum.predicted_optimal_mode(kappa, a, m, phys)
         box1 = int(math.ceil(4.0 * k1p))
         box2 = int(math.ceil(4.0 * k2p))
-        _, mode = _argmax_mode(
-            spectrum.sweep_growth_rates(kappa, a, m, phys, box1, box2),
-            kappa, a, m, phys)
+        sweep = spectrum.sweep_growth_rates(kappa, a, m, phys, box1, box2)
+        _, mode = _argmax_mode(sweep, kappa, a, m, phys)
         bound = spectrum.dynamo_bound(kappa, a, phys)
         rate_t, rate_b = _slice_rate_pair(mode, params["slice_P"])
-        return {"kappa": kappa, "k1_max": box1, "k2_max": box2,
-                "k1_argmax": mode.params.k1, "k2_argmax": mode.params.k2,
-                "k1_predicted": k1p, "k2_predicted": k2p,
-                "sigma_max": mode.sigma, "sigma_bound": bound,
-                "sigma_times_kappa": mode.sigma * kappa,
-                "rate_theta": rate_t, "rate_magnetic": rate_b,
-                "bound_met": mode.sigma >= bound}
+        row = {"kappa": kappa, "k1_max": box1, "k2_max": box2,
+               "k1_argmax": mode.params.k1, "k2_argmax": mode.params.k2,
+               "k1_predicted": k1p, "k2_predicted": k2p,
+               "sigma_max": mode.sigma, "sigma_bound": bound,
+               "sigma_times_kappa": mode.sigma * kappa,
+               "rate_theta": rate_t, "rate_magnetic": rate_b,
+               "bound_met": mode.sigma >= bound}
+        return row, _sweep_counters(sweep, kappa)
 
-    rows = _parallel_map(work, sorted(params["kappas"], reverse=True),
+    done = _parallel_map(work, sorted(params["kappas"], reverse=True),
                          threads)
+    rows = [row for row, _ in done]
     factor = tols["argmax_factor"]
     argmax_ok = all(
         1.0 / factor <= r["k1_argmax"] / r["k1_predicted"] <= factor
@@ -547,7 +559,8 @@ def _run_dynamo_scaling(params, tols, out_dir, threads):
                "k1_predicted", "k2_predicted", "sigma_max", "sigma_bound",
                "sigma_times_kappa", "rate_theta", "rate_magnetic",
                "bound_met"]
-    return ExperimentResult("dynamo-scaling", columns, rows, checks)
+    return ExperimentResult("dynamo-scaling", columns, rows, checks,
+                            counters={"sweep": [box for _, box in done]})
 
 
 def _run_gevrey_breakdown(params, tols, out_dir, threads):
@@ -607,6 +620,8 @@ def _run_gevrey_breakdown(params, tols, out_dir, threads):
             "params.n, params.tau_field: the dealias band of n = %d holds "
             "too few shells of the initial data to estimate its analyticity "
             "radius (%s)" % (params["n"], exc))
+    except evolution.AnalyticWindowError as exc:
+        raise ExperimentError("params.t_end: %s" % exc)
     tracker = traj.tracker
     refined_run = fields.radius_ode_refined(tracker)
     t_star = fields.radius_ode_linear(tracker.tau0, tracker.k0, tracker.c_r,
@@ -879,6 +894,8 @@ def run_experiment(name: str, config: dict = None, out_dir: str = ".",
         "tolerances": tols,
         "wall_time_s": round(elapsed, 3),
     }
+    if result.counters is not None:
+        summary["counters"] = result.counters
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True,
                   default=_json_default)

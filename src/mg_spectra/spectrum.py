@@ -27,12 +27,15 @@ eigenvalue exactly when some denominator is negative: a Sturm count
 (Barth, Martin and Wilkinson 1967) in continued-fraction form (Gautschi
 1967, SIAM Rev. 9).  Every root here, scalar or swept over a (k1, k2) box,
 with or without diffusion, is found by one bisection on that test, and
-the test and the eigenvector come from one recurrence kernel.  Dense
-LAPACK on the truncated symmetric matrix serves as an independent oracle.
+the test and the eigenvector come from one recurrence kernel.  A sweep
+over a (k1, k2) box tests every pair at sigma = 0 and bisects only the
+pairs with a root.  Dense LAPACK on the truncated symmetric matrix serves
+as an independent oracle.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,10 +83,17 @@ class ConvergenceError(RuntimeError):
 
 
 def _alpha(q, a, m, k2, ksq, omega, mu):
-    """alpha_q with every argument broadcast; ksq = k1^2 + k2^2."""
-    num = 8.0 * omega * omega * (m * q) ** 2 * (ksq + (m * q) ** 2) \
-        + 2.0 * mu * mu * k2 ** 4
-    return num / (a * mu * m * k2 ** 2 * ksq)
+    """alpha_q with every argument broadcast; ksq = k1^2 + k2^2.
+
+    [8 Omega^2 (mq)^2 (ksq + (mq)^2) + 2 mu^2 k2^4] / (a mu m k2^2 ksq),
+    built in place in one array of the broadcast shape.
+    """
+    mq2 = (m * q) ** 2
+    out = ksq + mq2
+    out *= 8.0 * omega * omega * mq2
+    out += 2.0 * mu * mu * k2 ** 4
+    out /= a * mu * m * k2 ** 2 * ksq
+    return out
 
 
 def alpha(p, mp: ModeParams):
@@ -94,6 +104,14 @@ def alpha(p, mp: ModeParams):
     out = _alpha(p, mp.a, mp.m, mp.k2, float(mp.ksq), mp.phys.omega,
                  mp.phys.mu)
     return float(out) if out.ndim == 0 else out
+
+
+@functools.lru_cache(maxsize=64)
+def _levels(mp: ModeParams, p: int, top: int) -> np.ndarray:
+    """Read-only alpha_q for q = p..top: a mode's recursion levels."""
+    out = alpha(np.arange(p, top + 1), mp)
+    out.setflags(write=False)
+    return out
 
 
 def _recurrence(sigma, al, q0, kappa, ksq, m, keep=0):
@@ -161,8 +179,8 @@ def f_continued_fraction(p: int, sigma: float, mp: ModeParams,
         raise ValueError("p must be >= 1")
     if depth < 4:
         raise ValueError("depth must be >= 4")
-    al = alpha(np.arange(p, p + depth + 1), mp)
-    h, _ = _recurrence(sigma, al, p, kappa, mp.ksq, mp.m)
+    h, _ = _recurrence(sigma, _levels(mp, p, p + depth), p, kappa, mp.ksq,
+                       mp.m)
     if not h > 0.0:
         raise PoleError(p, sigma)
     return float(1.0 / h)
@@ -174,7 +192,8 @@ def _char(sigma: float, mp: ModeParams, kappa: float) -> float:
         f2 = f_continued_fraction(2, sigma, mp, kappa=kappa)
     except PoleError:
         return float("nan")
-    return (sigma + kappa * (mp.ksq + mp.m ** 2)) * alpha(1, mp) - f2
+    return (sigma + kappa * (mp.ksq + mp.m ** 2)) \
+        * float(_levels(mp, 1, 1)[0]) - f2
 
 
 def _root(mp: ModeParams, kappa: float, lo: float, hi: float):
@@ -329,8 +348,10 @@ def sweep_growth_rates(kappa: float, a: float, m: int, phys: PhysicalParams,
     [1, k1_max] x [1, k2_max].
 
     Returns (k1_grid, k2_grid, sigma) with NaN where no positive root
-    exists.  Same test and bisection as the scalar solver, evaluated for
-    all wavenumber pairs at once.
+    exists.  Same test and bisection as the scalar solver: every pair is
+    tested at sigma = 0, and only the pairs with a root are bisected, as
+    one batch.  Each pair's root is elementwise work, so it does not
+    depend on the batch it was bisected in.
     """
     k1g, k2g = np.meshgrid(np.arange(1, k1_max + 1), np.arange(1, k2_max + 1),
                            indexing="ij")
@@ -339,12 +360,15 @@ def sweep_growth_rates(kappa: float, a: float, m: int, phys: PhysicalParams,
     ksq = k1 * k1 + k2 * k2
     q = np.arange(1, _DEPTH + 3)[:, None]
     al = _alpha(q, a, m, k2, ksq, phys.omega, phys.mu)
+    root = _below(_recurrence(np.zeros(ksq.shape), al, 1, kappa, ksq, m)[0])
+    # compress, not al[:, root]: the recurrence runs on C-contiguous rows
+    al = np.compress(root, al, axis=1)
+    ksq = ksq[root]
 
     def below(sigma):
         return _below(_recurrence(sigma, al, 1, kappa, ksq, m)[0])
 
-    zero = np.zeros(ksq.shape)
-    root = below(zero)
-    hi = np.where(root, 1.0 / np.sqrt(al[0] * al[1] - al[0] * al[0]), 0.0)
-    sigma = _bisect(below, zero, hi)
-    return k1g, k2g, np.where(root, sigma, np.nan).reshape(k1g.shape)
+    hi = 1.0 / np.sqrt(al[0] * al[1] - al[0] * al[0])
+    sigma = np.full(root.shape, np.nan)
+    sigma[root] = _bisect(below, np.zeros(ksq.shape), hi)
+    return k1g, k2g, sigma.reshape(k1g.shape)

@@ -457,8 +457,9 @@ def test_nonlinear_energy_identity_small():
 def test_nonlinear_analytic_window_guard():
     # inviscid runs refuse horizons beyond the guaranteed analytic window
     base = ev.steady_state_field(8, 1.0, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ev.AnalyticWindowError, match="analytic window"):
         ev.evolve_nonlinear(base, 0.0, None, 0.01, 1e6)
+    assert issubclass(ev.AnalyticWindowError, ValueError)
 
 
 def test_nonlinear_tracks_perturbation_and_magnetic():

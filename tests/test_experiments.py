@@ -165,6 +165,27 @@ def test_optimal_mode_small_case(tmp_path):
     assert row["sigma_bound"] == pytest.approx(16.0 / 10.24, rel=1e-12)
 
 
+def test_sweep_counters_in_summary(tmp_path):
+    # each sweep box counts its pairs and the pairs bisected, those with a
+    # root; the counts are the same at one and two threads and stay out of
+    # results.csv
+    cases = (("diffusive-sweep", {}, [(1e-3, 1280, 1041)]),
+             ("dynamo-scaling", {"kappas": [1e-3, 1e-2]},
+              [(1e-2, 1450, 424), (1e-3, 45000, 15433)]))
+    for name, params, boxes in cases:
+        seen = []
+        for threads in (1, 2):
+            out = str(tmp_path / name / str(threads))
+            experiments.run_experiment(name, {"params": params}, out, threads)
+            with open(os.path.join(out, "summary.json")) as fh:
+                seen.append(json.load(fh)["counters"])
+            with open(os.path.join(out, "results.csv")) as fh:
+                assert "pairs" not in fh.readline()
+        assert seen[0] == seen[1]
+        assert [(b["kappa"], b["pairs"], b["pairs_bisected"])
+                for b in seen[0]["sweep"]] == boxes
+
+
 def test_oracle_xcheck_without_any_root(tmp_path):
     # kappa = 10 kills the unit mode: nothing to match, and the dense
     # top eigenvalue is negative
@@ -244,6 +265,9 @@ def test_cli_bad_list_entry_is_a_usage_error(tmp_path, capsys):
     ("gevrey-breakdown", {"t_end": 0.001}, "params.t_end"),
     # the band |k_i| <= 1 holds 2 shells, and a radius fit needs 6
     ("gevrey-breakdown", {"n": 2}, "params.n, params.tau_field"),
+    # the inviscid run cannot reach t = 50 inside the analytic window
+    ("gevrey-breakdown", {"t_end": 50},
+     "params.t_end: horizon 50 exceeds the analytic window"),
 ])
 def test_cli_range_faults_are_usage_errors(tmp_path, capsys, name, params,
                                            fragment):

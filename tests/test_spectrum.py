@@ -260,3 +260,68 @@ def test_sweep_matches_scalar():
             assert np.isnan(sg[i, j])
         else:
             assert sg[i, j] == pytest.approx(mode.sigma, rel=1e-9)
+
+
+def _full_box_sweep(kappa, a, m, phys, k1_max, k2_max):
+    """The sweep as one bisection over the whole box, rootless pairs
+    included on the empty interval [0, 0]: the reference for the
+    compacted sweep."""
+    k1g, k2g = np.meshgrid(np.arange(1, k1_max + 1), np.arange(1, k2_max + 1),
+                           indexing="ij")
+    k2 = k2g.ravel().astype(float)
+    ksq = k1g.ravel().astype(float) ** 2 + k2 * k2
+    q = np.arange(1, spectrum._DEPTH + 3)[:, None]
+    num = 8.0 * phys.omega * phys.omega * (m * q) ** 2 \
+        * (ksq + (m * q) ** 2) + 2.0 * phys.mu * phys.mu * k2 ** 4
+    al = num / (a * phys.mu * m * k2 ** 2 * ksq)
+
+    def below(sigma):
+        return spectrum._below(
+            spectrum._recurrence(sigma, al, 1, kappa, ksq, m)[0])
+
+    zero = np.zeros(ksq.shape)
+    root = below(zero)
+    hi = np.where(root, 1.0 / np.sqrt(al[0] * al[1] - al[0] * al[0]), 0.0)
+    sigma = spectrum._bisect(below, zero, hi)
+    return np.where(root, sigma, np.nan).reshape(k1g.shape)
+
+
+@pytest.mark.parametrize("kappa,a,k1_max,k2_max", [
+    (3e-3, 4.0, 40, 12), (1e-2, 1.0, 8, 6), (1e-2, 1.0, 1, 1),
+    (1.0, 1.0, 8, 6)])
+def test_sweep_bitwise_equals_full_box_bisection(kappa, a, k1_max, k2_max):
+    phys = PhysicalParams()
+    _, _, sg = spectrum.sweep_growth_rates(kappa, a, 1, phys, k1_max, k2_max)
+    ref = _full_box_sweep(kappa, a, 1, phys, k1_max, k2_max)
+    assert sg.shape == (k1_max, k2_max)
+    assert np.array_equal(sg, ref, equal_nan=True)
+    if kappa == 1.0:
+        assert np.all(np.isnan(sg))  # no pair has a root, none is bisected
+
+
+def test_sweep_memory_peak():
+    # the default kappa = 1e-3 dynamo-scaling box: alpha is one
+    # (levels x pairs) array of 23.8 MB, and the bisection runs on a
+    # compressed copy of the 15,433 pairs with a root
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        _, _, sg = spectrum.sweep_growth_rates(1e-3, 4.0, 1, PhysicalParams(),
+                                               500, 90)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.count_nonzero(~np.isnan(sg)) == 15433
+    assert peak <= 40 * 2 ** 20
+
+
+def test_cached_levels_are_read_only():
+    mp = _mode(2, 1, 3, 2)
+    spectrum.solve_growth_rate(mp)
+    al = spectrum._levels(mp, 2, 2 + spectrum._DEPTH)
+    assert al is spectrum._levels(mp, 2, 2 + spectrum._DEPTH)
+    assert np.array_equal(al, spectrum.alpha(np.arange(2, 67), mp))
+    assert not al.flags.writeable
+    with pytest.raises(ValueError):
+        al[0] = 0.0
+    assert not spectrum._levels(mp, 1, 1).flags.writeable
