@@ -13,7 +13,6 @@ from .symbols import (
     b_symbol,
     m_symbol,
     m_symbol_exact,
-    symbol_asymptotics_report,
     t_symbol,
 )
 from .spectrum import (
@@ -37,21 +36,20 @@ from .fields import (
 )
 from .evolution import (
     evolve_full_slice,
-    evolve_nonlinear,
     measure_growth_rate,
+    nonlinear_steps,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ModeParams", "PhysicalParams",
-    "b_symbol", "m_symbol", "m_symbol_exact", "symbol_asymptotics_report",
-    "t_symbol",
+    "b_symbol", "m_symbol", "m_symbol_exact", "t_symbol",
     "UnstableMode", "alpha", "analytic_bracket", "f_continued_fraction",
     "solve_growth_rate", "solve_growth_rate_diffusive", "sweep_growth_rates",
     "truncated_matrix_eigenvalue",
     "GevreyTracker", "SpectralField", "breakdown_criterion", "gevrey_norm",
     "radius_estimate", "radius_ode_linear", "radius_ode_refined",
-    "evolve_full_slice", "evolve_nonlinear", "measure_growth_rate",
+    "evolve_full_slice", "measure_growth_rate", "nonlinear_steps",
     "__version__",
 ]

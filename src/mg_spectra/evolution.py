@@ -8,17 +8,20 @@
    basis of the eigenvalue recursion, enter through embed_restricted.
 2. The full nonlinear pseudo-spectral solver for
    d Theta/dt + U . grad Theta = S + kappa Lap Theta,   U_j = M_j Theta,
-   with 2/3-rule dealiasing, explicit diffusion, and energy/analyticity
-   diagnostics.
+   with 2/3-rule dealiasing and explicit diffusion.  nonlinear_steps
+   yields (t, band state, advection) per step, and each caller computes
+   the diagnostics it reads from them (energy_residual, say).  An
+   inviscid run is held inside the analytic window (tau0, K0) its caller
+   passes, analytic_window's estimate from the initial data, say.
 
 Conventions: Theta(x) = sum_k c(k) exp(i k.x) on the centered cube
 |k|_inf <= N; norms are coefficient-l2.  The nonlinear solver holds its
 state on the 2/3 band |k_i| <= cut = (2N+1)//3 and forms products on an
 alias-free L^3 grid, L = next_fast_len(3 cut + 1) (64 at N = 32); fields
-cross its API as full centered cubes.  The solver owns its L^3 work grids
-and transforms in place on them, so a step allocates no grid and a solver
-is not shared across threads.  Both integrators take fixed steps of one
-classical RK4 step, `_rk4_step`.
+enter as full centered cubes, and band_field pads a band state back to
+one.  The solver owns its L^3 work grids and transforms in place on them,
+so a step allocates no grid and a solver is not shared across threads.
+Both integrators take fixed steps of one classical RK4 step, `_rk4_step`.
 """
 
 from __future__ import annotations
@@ -32,13 +35,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .fields import (GevreyTracker, SpectralField, gevrey_norm,
-                     radius_estimate, sobolev_a, wavenumber_norms)
+from .fields import (SpectralField, gevrey_norm, radius_estimate,
+                     wavenumber_norms)
 from .params import ModeParams, PhysicalParams
 # solve_growth_rate is unused here; perfbench/test_perfbench.py checks
 # that its tracer wraps the name in every layer module that binds it
 from .spectrum import UnstableMode, solve_growth_rate  # noqa: F401
-from .symbols import b_symbol, b_symbol_grids, m_symbol, m_symbol_grids
+from .symbols import b_symbol, m_symbol, m_symbol_grids
 
 
 class DivergenceError(RuntimeError):
@@ -130,16 +133,6 @@ def full_slice_rhs(mp: ModeParams, theta: np.ndarray,
     return rhs
 
 
-def gronwall_constant(mp: ModeParams) -> float:
-    """Growth-rate bound for the slice L2 norm:
-    (mu k2^2 / (4 Omega^2)) (pi^2/(3 sqrt 5)) ||d3 Theta0||, where
-    ||d3 Theta0|| = m a / sqrt 2 in coefficient l2."""
-    om, mu = mp.phys.omega, mp.phys.mu
-    grad_norm = mp.m * mp.a / math.sqrt(2.0)
-    return mu * mp.k2 ** 2 / (4.0 * om * om) \
-        * math.pi ** 2 / (3.0 * math.sqrt(5.0)) * grad_norm
-
-
 def full_slice_max_dt(state: FullSliceState) -> float:
     """Largest dt evolve_full_slice accepts for this state: 0.1 over the
     generator's largest absolute row sum, leaving out the k3 = 0 row,
@@ -159,13 +152,6 @@ class FullSliceTrajectory:
     t: np.ndarray
     norm: np.ndarray
     magnetic_norm: np.ndarray
-    rate_bound: float
-
-    def log_derivative(self) -> np.ndarray:
-        """Finite-difference d/dt log ||theta||^2 between recorded steps."""
-        with np.errstate(divide="ignore"):
-            ln = 2.0 * np.log(self.norm)
-        return np.diff(ln) / np.diff(self.t)
 
 
 def evolve_full_slice(state: FullSliceState, dt: float,
@@ -173,10 +159,9 @@ def evolve_full_slice(state: FullSliceState, dt: float,
     """Explicit RK4 trajectory of the general slice operator.
 
     Records at every step the slice l2 norm and the norm of the induced
-    magnetic field, sqrt(sum |b(k1, k2, k3)|^2 |theta_hat(k3)|^2), and
-    reports the Gronwall rate bound 2 * gronwall_constant (for d/dt of the
-    squared norm) alongside them.  Requires dt <= full_slice_max_dt; a
-    non-finite state raises DivergenceError.
+    magnetic field, sqrt(sum |b(k1, k2, k3)|^2 |theta_hat(k3)|^2).
+    Requires dt <= full_slice_max_dt; a non-finite state raises
+    DivergenceError.
     """
     if dt <= 0 or t_end <= 0:
         raise ValueError("dt and t_end must be positive")
@@ -200,9 +185,7 @@ def evolve_full_slice(state: FullSliceState, dt: float,
         rows.append((i * dt, float(np.linalg.norm(y)),
                      float(np.sqrt(np.sum(b2 * np.abs(y) ** 2)))))
     t, norm, magnetic = (np.asarray(col) for col in zip(*rows))
-    # diffusion only lowers the growth rate, so the kappa = 0 bound stands
-    return FullSliceTrajectory(t=t, norm=norm, magnetic_norm=magnetic,
-                               rate_bound=2.0 * gronwall_constant(mp))
+    return FullSliceTrajectory(t=t, norm=norm, magnetic_norm=magnetic)
 
 
 def embed_restricted(mp: ModeParams, c, kappa: float = 0.0) -> FullSliceState:
@@ -228,13 +211,7 @@ def embed_restricted(mp: ModeParams, c, kappa: float = 0.0) -> FullSliceState:
 # growth-rate measurement
 
 
-@dataclass(frozen=True)
-class GrowthFit:
-    rate: float
-    residual_rms: float
-
-
-def measure_growth_rate(t, norm, window: tuple) -> GrowthFit:
+def measure_growth_rate(t, norm, window: tuple) -> float:
     """Least-squares slope of log(norm) over t in [window[0], window[1]]."""
     t = np.asarray(t, dtype=float)
     norm = np.asarray(norm, dtype=float)
@@ -249,9 +226,7 @@ def measure_growth_rate(t, norm, window: tuple) -> GrowthFit:
     ys = np.log(norm[sel])
     x = np.column_stack([ts, np.ones_like(ts)])
     beta, *_ = np.linalg.lstsq(x, ys, rcond=None)
-    resid = ys - x @ beta
-    return GrowthFit(rate=float(beta[0]),
-                     residual_rms=float(np.sqrt(np.mean(resid ** 2))))
+    return float(beta[0])
 
 
 # ---------------------------------------------------------------------------
@@ -304,24 +279,12 @@ def eigenmode_field(mode: UnstableMode, n: int) -> SpectralField:
 # nonlinear pseudo-spectral solver
 
 
-@dataclass(frozen=True)
-class NonlinearTrajectory:
-    t: np.ndarray
-    l2: np.ndarray
-    energy_residual: np.ndarray
-    pert_l2: np.ndarray
-    magnetic_l2: np.ndarray
-    snapshots: list
-    tracker: GevreyTracker
-    final: SpectralField
-
-
 def dealias_cut(n: int) -> int:
     """Largest |k_i| of the 2/3 band of the centred cube |k_i| <= n."""
     return (2 * n + 1) // 3
 
 
-def _band(c: np.ndarray, cut: int) -> np.ndarray:
+def band(c: np.ndarray, cut: int) -> np.ndarray:
     """The centred sub-cube |k_i| <= cut of a centred cube (a view)."""
     h = c.shape[0] // 2
     return c[h - cut:h + cut + 1, h - cut:h + cut + 1, h - cut:h + cut + 1]
@@ -330,7 +293,7 @@ def _band(c: np.ndarray, cut: int) -> np.ndarray:
 def _pad(c: np.ndarray, n: int) -> np.ndarray:
     """Zero-pad a centred cube to |k_i| <= n (read-only: fields keep it)."""
     out = np.zeros((2 * n + 1,) * 3, dtype=np.complex128)
-    _band(out, c.shape[0] // 2)[...] = c
+    band(out, c.shape[0] // 2)[...] = c
     out.flags.writeable = False
     return out
 
@@ -338,7 +301,22 @@ def _pad(c: np.ndarray, n: int) -> np.ndarray:
 def band_limit(c: np.ndarray) -> np.ndarray:
     """A read-only copy of the cube c, zeroed outside its 2/3 band."""
     n = c.shape[0] // 2
-    return _pad(_band(c, dealias_cut(n)), n)
+    return _pad(band(c, dealias_cut(n)), n)
+
+
+def band_field(c: np.ndarray, n: int) -> SpectralField:
+    """A band state of nonlinear_steps as a field on the cube |k_i| <= n,
+    zero outside the band."""
+    return SpectralField(_pad(c, n))
+
+
+@functools.lru_cache(maxsize=16)
+def _ksq(cut: int) -> np.ndarray:
+    """Read-only |k|^2 on the band cube |k_i| <= cut, one copy per cut."""
+    k1, k2, k3 = np.ogrid[-cut:cut + 1, -cut:cut + 1, -cut:cut + 1]
+    ksq = (k1 ** 2 + k2 ** 2 + k3 ** 2).astype(float)
+    ksq.flags.writeable = False
+    return ksq
 
 
 class NonlinearSolver:
@@ -353,7 +331,7 @@ class NonlinearSolver:
     The solver owns its L^3 work grids: the three complex transforms run in
     place on them, and only the real transform's half spectrum is allocated
     per call.  It therefore holds mutable state and must not be shared
-    between threads; each evolve_nonlinear call builds its own.
+    between threads; each nonlinear_steps call builds its own.
     """
 
     def __init__(self, n: int, phys: PhysicalParams = None, kappa: float = 0.0,
@@ -366,9 +344,9 @@ class NonlinearSolver:
         self.workers = workers
         self.msym = m_symbol_grids(cut, phys)
         k1, k2, k3 = np.ogrid[-cut:cut + 1, -cut:cut + 1, -cut:cut + 1]
-        self.ksq = (k1 ** 2 + k2 ** 2 + k3 ** 2).astype(float)
+        self.ksq = _ksq(cut)
         self.source = np.zeros_like(self.ksq, dtype=np.complex128) \
-            if source is None else np.array(_band(source.coeffs, cut))
+            if source is None else np.array(band(source.coeffs, cut))
         self.source[:, :, cut] = 0.0
         # flat positions of the band in the L^3 grid, and of the half band
         # k3 >= 1 and its mirror -k in the complex and real spectra
@@ -400,7 +378,7 @@ class NonlinearSolver:
         c is any centred cube holding the band; only its band is read.  The
         grids keep U until the next call, for max_speed.
         """
-        c = _band(c, self.cut)
+        c = band(c, self.cut)
         m1, m2, m3 = self.msym
         z = self._to_phys(c + 1j * (m3 * c), self._z)         # Theta + i U3
         theta = z.real
@@ -437,15 +415,6 @@ class NonlinearSolver:
             out = out - self.kappa * self.ksq * c
         return out, adv
 
-    def diagnostics(self, c: np.ndarray, adv: np.ndarray) -> float:
-        """Energy-identity residual |<c, adv>| over kappa |grad c|^2, or
-        over |c|^2 without diffusion."""
-        grad_sq = float(np.sum(self.ksq * np.abs(c) ** 2))
-        adv_inner = abs(float(np.real(np.sum(np.conj(c) * adv))))
-        if self.kappa > 0 and grad_sq > 0:
-            return adv_inner / (self.kappa * grad_sq)
-        return adv_inner / max(float(np.sum(np.abs(c) ** 2)), 1e-300)
-
 
 def _validate_field(fld: SpectralField, what: str) -> None:
     """Reject, beyond 1e-13 of max |c|, a k3 = 0 plane (which holds the
@@ -464,107 +433,98 @@ def _validate_field(fld: SpectralField, what: str) -> None:
                          % (what, dealias_cut(n)))
 
 
+def energy_residual(c: np.ndarray, adv: np.ndarray, kappa: float) -> float:
+    """Energy-identity residual of a band state c and its advection adv:
+    |<c, adv>| over kappa |grad c|^2, or over |c|^2 without diffusion."""
+    grad_sq = float(np.sum(_ksq(c.shape[0] // 2) * np.abs(c) ** 2))
+    adv_inner = abs(float(np.real(np.sum(np.conj(c) * adv))))
+    if kappa > 0 and grad_sq > 0:
+        return adv_inner / (kappa * grad_sq)
+    return adv_inner / max(float(np.sum(np.abs(c) ** 2)), 1e-300)
+
+
 # smallest estimated analyticity radius an analytic window is built from
 _TAU_FLOOR = 0.02
 
 
-def _window_parameters(theta0: SpectralField, r: float):
-    """(tau0, K0) for the analytic-window estimate of the initial data,
-    given as its band cube, which holds the shells |k| <= cut whole."""
-    est = radius_estimate(theta0)
+def analytic_window(theta0: SpectralField, r: float) -> tuple:
+    """(tau0, K0) of the initial data: an analyticity radius and the Gevrey
+    norm with exponent r at it, both of theta0's 2/3 band.
+
+    tau0 is the fitted radius_estimate, or for a trigonometric polynomial
+    1 / (the |c|^2-weighted mean |k|), capped at 300 / (cut sqrt 3).  An
+    estimated radius below 0.02 raises AnalyticWindowError.
+    """
+    fld = SpectralField(band(theta0.coeffs, dealias_cut(theta0.n)))
+    est = radius_estimate(fld)
     if est.entire:
-        mag2 = np.abs(theta0.coeffs) ** 2
+        mag2 = np.abs(fld.coeffs) ** 2
         total = float(np.sum(mag2))
-        centroid = float(np.sum(wavenumber_norms(theta0.n) * mag2) / total)
+        centroid = float(np.sum(wavenumber_norms(fld.n) * mag2) / total)
         tau0 = 1.0 / max(centroid, 1.0)
     else:
         if est.radius < _TAU_FLOOR:
-            raise ValueError(
+            raise AnalyticWindowError(
                 "estimated analyticity radius %.3g below the floor %.3g"
                 % (est.radius, _TAU_FLOOR))
         tau0 = est.radius
-    kmax = theta0.n * math.sqrt(3.0)
+    kmax = fld.n * math.sqrt(3.0)
     tau0 = min(tau0, 300.0 / max(kmax, 1.0))
-    return tau0, gevrey_norm(theta0, tau0, r)
+    return tau0, gevrey_norm(fld, tau0, r)
 
 
-def evolve_nonlinear(theta0: SpectralField, kappa: float,
-                     source: SpectralField, dt: float, t_end: float,
-                     phys: PhysicalParams = None, *,
-                     reference: SpectralField = None,
-                     snapshot_stride: int = 0, analytic_guard: bool = True,
-                     r: float = 3.0, workers: int = 1) -> NonlinearTrajectory:
-    """Advance the nonlinear MG equation and record diagnostics per step.
+def nonlinear_steps(theta0: SpectralField, kappa: float,
+                    source: SpectralField, dt: float, t_end: float,
+                    phys: PhysicalParams = None, *, window: tuple = None,
+                    workers: int = 1):
+    """Advance the nonlinear MG equation: an iterator over (t, c, adv).
 
-    theta0 must be real (Hermitian coefficients), mean-zero, with zero
-    vertical mean and inside the 2/3 band; so must the source and the
-    reference field.  The state is held on the band; snapshots (every
-    snapshot_stride steps, none for 0) and the final field are zero-padded
-    back to theta0's cube.  With a reference field, the l2 norm of the
-    perturbation Theta - reference and of its induced magnetic field are
-    recorded per step; without one, both read NaN.
+    At step i = 0..round(t_end / dt), t = i dt, c is the read-only band
+    state and adv its advection, the first RK4 stage of the next step.
+    theta0 and the source must be real (Hermitian coefficients), mean-zero,
+    with zero vertical mean and inside the 2/3 band; band_field pads c back
+    to theta0's cube.
 
-    For kappa = 0 and analytic_guard, the run is held inside the analytic
-    window tau0/(2 K0), with tau0 and K0 derived from the initial data
-    (radius_estimate and the Gevrey norm with exponent r); horizons beyond
-    it, and an estimated radius below 0.02, are refused (local analytic
-    theory gives no meaning to the output), and the run's Gevrey tracker
-    starts from the same tau0 and K0.  A CFL heuristic
-    (max |U| dt N > 0.5) warns once per run.  workers goes to scipy.fft.
+    A kappa = 0 run must pass window = (tau0, K0), analytic_window's say,
+    and a horizon beyond tau0 / (2 K0) raises AnalyticWindowError: local
+    analytic theory gives no meaning to the output there.  Bad input
+    raises here, before the first step.  A CFL heuristic
+    (max |U| dt N > 0.5) warns once per run, a non-finite state raises
+    DivergenceError, and workers goes to scipy.fft.
     """
-    if phys is None:
-        phys = PhysicalParams()
     if dt <= 0 or t_end <= 0:
         raise ValueError("dt and t_end must be positive")
     _validate_field(theta0, "initial data")
-    for fld, what in ((source, "source"), (reference, "reference")):
-        if fld is not None:
-            if fld.n != theta0.n:
-                raise ValueError("%s must share the initial data's cube "
-                                 "|k_i| <= %d" % (what, theta0.n))
-            _validate_field(fld, what)
-
-    n = theta0.n
-    solver = NonlinearSolver(n, phys=phys, kappa=kappa, source=source,
+    if source is not None:
+        if source.n != theta0.n:
+            raise ValueError("source must share the initial data's cube "
+                             "|k_i| <= %d" % theta0.n)
+        _validate_field(source, "source")
+    if window is None and kappa == 0.0:
+        raise AnalyticWindowError(
+            "a kappa = 0 run needs its analytic window (tau0, K0)")
+    if window is not None:
+        tau0, k0 = window
+        if k0 > 0 and t_end > tau0 / (2.0 * k0):
+            raise AnalyticWindowError(
+                "horizon %.4g exceeds the analytic window %.4g "
+                "(tau0 = %.4g, K0 = %.4g)"
+                % (t_end, tau0 / (2.0 * k0), tau0, k0))
+    solver = NonlinearSolver(theta0.n, phys=phys, kappa=kappa, source=source,
                              workers=workers)
-    cut = solver.cut
-    tracker = None
-    if kappa == 0.0 and analytic_guard:
-        tau0, k0 = _window_parameters(
-            SpectralField(_band(theta0.coeffs, cut)), r)
-        if k0 > 0:
-            t_star = tau0 / (2.0 * k0)
-            if t_end > t_star:
-                raise AnalyticWindowError(
-                    "horizon %.4g exceeds the analytic window %.4g "
-                    "(tau0 = %.4g, K0 = %.4g)" % (t_end, t_star, tau0, k0))
-        tracker = GevreyTracker(tau0=tau0, k0=k0, max_gap=2.0 * dt)
+    c = np.array(band(theta0.coeffs, solver.cut))
+    return _steps(solver, c, dt, int(round(t_end / dt)), theta0.n)
 
+
+def _steps(solver: NonlinearSolver, c: np.ndarray, dt: float, n_steps: int,
+           n: int):
     def rhs(y):
         return solver.rhs(y)[0]
 
-    ref = None if reference is None else _band(reference.coeffs, cut)
-    b_sym = None if reference is None else b_symbol_grids(cut, phys)
-
-    def record(c, adv, t_now):
-        if tracker is not None:
-            tracker.append(t_now, sobolev_a(SpectralField(c)))
-        pert = mag = float("nan")
-        if ref is not None:
-            d = c - ref
-            pert = float(np.linalg.norm(d.ravel()))
-            mag = math.sqrt(sum(float(np.sum(np.abs(b * d) ** 2))
-                                for b in b_sym))
-        return (t_now, math.sqrt(float(np.sum(np.abs(c) ** 2))),
-                solver.diagnostics(c, adv), pert, mag)
-
-    n_steps = int(round(t_end / dt))
-    c = np.array(_band(theta0.coeffs, cut))
-    rows = []
-    snaps = []
     cfl_warned = False
     for i in range(n_steps + 1):
-        # stage one doubles as the diagnostic evaluation at the current state
+        c.flags.writeable = False
+        # stage one doubles as the caller's diagnostic evaluation
         k1, adv = solver.rhs(c)
         if not cfl_warned:
             cfl = solver.max_speed() * dt * n
@@ -573,15 +533,9 @@ def evolve_nonlinear(theta0: SpectralField, kappa: float,
                     "CFL heuristic exceeded: max|U| dt N = %.3g > 0.5" % cfl,
                     RuntimeWarning)
                 cfl_warned = True
-        rows.append(record(c, adv, i * dt))
-        if snapshot_stride and i % snapshot_stride == 0:
-            snaps.append((i * dt, SpectralField(_pad(c, n))))
+        yield i * dt, c, adv
         if i == n_steps:
-            break
+            return
         c = _rk4_step(rhs, c, dt, k1)
         if not np.all(np.isfinite(c)):
             raise DivergenceError(i + 1)
-    t, l2, energy, pert, mag = (np.asarray(col) for col in zip(*rows))
-    return NonlinearTrajectory(
-        t=t, l2=l2, energy_residual=energy, pert_l2=pert, magnetic_l2=mag,
-        snapshots=snaps, tracker=tracker, final=SpectralField(_pad(c, n)))

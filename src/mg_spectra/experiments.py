@@ -25,7 +25,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import evolution, fields, spectrum
+from . import evolution, fields, spectrum, symbols
 from .params import ModeParams, PhysicalParams
 
 EXPERIMENT_NAMES = (
@@ -136,12 +136,12 @@ def validate_config(name: str, config: dict):
     """Merge a raw config dict over the experiment defaults.
 
     Unknown fields, wrong types, numbers out of range and j_list entries
-    that are not perfect squares are rejected with the field path in the
-    message, down to the list entry (params.j_list[0]).  Every number must
-    be positive, except the seeds and the oracle-xcheck kappas, which may
-    be zero.  A field listed in the schema's minimums must reach it: the
-    slice truncations P and slice_P >= 8, and steps_lin >= 9 (a rate fit
-    takes 10 samples).
+    that are not perfect squares or repeat an earlier one are rejected
+    with the field path in the message, down to the list entry
+    (params.j_list[0]).  Every number must be positive, except the seeds
+    and the oracle-xcheck kappas, which may be zero.  A field listed in
+    the schema's minimums must reach it: the slice truncations P and
+    slice_P >= 8, and steps_lin >= 9 (a rate fit takes 10 samples).
     """
     if name not in _SCHEMAS:
         raise ExperimentError("unknown experiment %r" % name)
@@ -177,6 +177,10 @@ def validate_config(name: str, config: dict):
                 if key == "j_list":
                     for i, j in enumerate(value):
                         _square_root("%s[%d]" % (path, i), j)
+                        first = value.index(j)
+                        if first < i:
+                            raise ExperimentError("%s[%d]: %d repeats %s[%d]"
+                                                  % (path, i, j, path, first))
             else:
                 value = _number(path, default, value, may_be_zero)
                 floor = schema.get("minimums", {}).get(path)
@@ -294,6 +298,13 @@ def _synthetic_decay_field(n: int, tau: float, q: float, amplitude: float,
     return fields.SpectralField(c)
 
 
+def _final_field(steps, n: int) -> fields.SpectralField:
+    """The last state of a nonlinear_steps run, on the cube |k_i| <= n."""
+    for _, c, _ in steps:
+        pass
+    return evolution.band_field(c, n)
+
+
 # ---------------------------------------------------------------------------
 # runners
 
@@ -377,21 +388,21 @@ def _run_slice_growth(params, tols, out_dir, threads):
 
     traj_e = evolution.evolve_full_slice(
         evolution.embed_restricted(mp, mode.c_tilde), dt, 3.0 / sigma)
-    fit_e = evolution.measure_growth_rate(traj_e.t, traj_e.norm,
-                                          (0.0, 3.0 / sigma))
-    rel_e = abs(fit_e.rate - sigma) / sigma
+    rate_e = evolution.measure_growth_rate(traj_e.t, traj_e.norm,
+                                           (0.0, 3.0 / sigma))
+    rel_e = abs(rate_e - sigma) / sigma
 
     traj_g = evolution.evolve_full_slice(
         evolution.embed_restricted(mp, np.ones(big_p)), dt, 8.0 / sigma)
-    fit_g = evolution.measure_growth_rate(traj_g.t, traj_g.norm,
-                                          (5.0 / sigma, 8.0 / sigma))
-    rel_g = abs(fit_g.rate - sigma) / sigma
+    rate_g = evolution.measure_growth_rate(traj_g.t, traj_g.norm,
+                                           (5.0 / sigma, 8.0 / sigma))
+    rel_g = abs(rate_g - sigma) / sigma
 
     rows = [
-        {"case": "eigenvector", "sigma": sigma, "fitted": fit_e.rate,
+        {"case": "eigenvector", "sigma": sigma, "fitted": rate_e,
          "rel_err": rel_e, "tolerance": tols["eigen_rel"],
          "ok": rel_e <= tols["eigen_rel"]},
-        {"case": "generic", "sigma": sigma, "fitted": fit_g.rate,
+        {"case": "generic", "sigma": sigma, "fitted": rate_g,
          "rel_err": rel_g, "tolerance": tols["generic_rel"],
          "ok": rel_g <= tols["generic_rel"]},
     ]
@@ -507,7 +518,7 @@ def _slice_rate_pair(mode, slice_p):
     dt = min(t_end / 60.0, evolution.full_slice_max_dt(full))
     traj = evolution.evolve_full_slice(full, dt, t_end)
     window = (t_end / 3.0, t_end)
-    return tuple(evolution.measure_growth_rate(traj.t, norm, window).rate
+    return tuple(evolution.measure_growth_rate(traj.t, norm, window)
                  for norm in (traj.norm, traj.magnetic_norm))
 
 
@@ -604,28 +615,49 @@ def _run_gevrey_breakdown(params, tols, out_dir, threads):
     checks.append(_check("spike_fails_criterion",
                          not fields.breakdown_criterion(spike), False, False))
 
-    # tracked nonlinear run, on the band the solver holds; its analytic
-    # guard fits the radius of the initial data before the first step
-    theta0 = _synthetic_decay_field(params["n"], params["tau_field"],
+    # tracked nonlinear run, on the band the solver holds, inside the
+    # analytic window of its initial data
+    n = params["n"]
+    theta0 = _synthetic_decay_field(n, params["tau_field"],
                                     float(params["decay_power"]),
                                     params["amplitude"],
                                     seed=params["seed"])
     theta0 = fields.SpectralField(evolution.band_limit(theta0.coeffs))
     try:
-        traj = evolution.evolve_nonlinear(
-            theta0, 0.0, None, params["dt"], params["t_end"], r=params["r"],
-            snapshot_stride=max(1, n_steps // 4))
+        tau0, k0 = evolution.analytic_window(theta0, params["r"])
     except fields.InsufficientShellsError as exc:
         raise ExperimentError(
             "params.n, params.tau_field: the dealias band of n = %d holds "
             "too few shells of the initial data to estimate its analyticity "
-            "radius (%s)" % (params["n"], exc))
+            "radius (%s)" % (n, exc))
+    except evolution.AnalyticWindowError as exc:
+        raise ExperimentError("params.tau_field: %s" % exc)
+    except fields.GevreyOverflowError as exc:
+        raise ExperimentError("params.r: %s" % exc)
+    try:
+        steps = evolution.nonlinear_steps(theta0, 0.0, None, params["dt"],
+                                          params["t_end"], window=(tau0, k0))
     except evolution.AnalyticWindowError as exc:
         raise ExperimentError("params.t_end: %s" % exc)
-    tracker = traj.tracker
+    tracker = fields.GevreyTracker(tau0=tau0, k0=k0,
+                                   max_gap=2.0 * params["dt"])
+    t_star = fields.radius_ode_linear(tau0, k0, tracker.c_r, 0.0)[1]
+    # the Gevrey norm stays under K0 while tau follows the linear decay;
+    # checked at every stride-th step inside the window
+    stride = max(1, n_steps // 4)
+    worst_ratio = 0.0
+    for i, (t, c, _) in enumerate(steps):
+        tracker.append(t, fields.sobolev_a(fields.SpectralField(c)))
+        if i % stride == 0 and t < t_star:
+            tau_here = tau0 - 2.0 * tracker.c_r * k0 * t
+            try:
+                val = fields.gevrey_norm(evolution.band_field(c, n),
+                                         max(tau_here, 0.0), params["r"])
+            except fields.GevreyOverflowError as exc:
+                raise ExperimentError("params.r: %s" % exc)
+            worst_ratio = max(worst_ratio, val / k0)
+
     refined_run = fields.radius_ode_refined(tracker)
-    t_star = fields.radius_ode_linear(tracker.tau0, tracker.k0, tracker.c_r,
-                                      tracker.t)[1]
     acc = tracker.accumulated()
     for t, accv, tr in zip(tracker.t, acc, refined_run.tau):
         rows.append({"series": "run", "x": float(t), "value": float(tr),
@@ -646,15 +678,6 @@ def _run_gevrey_breakdown(params, tols, out_dir, threads):
     checks.append(_check("refined_ode_residual",
                          ode_res <= tols["ode_residual"], ode_res,
                          tols["ode_residual"]))
-
-    # Gevrey norm stays under K0 while tau follows the linear decay
-    worst_ratio = 0.0
-    for snap_t, snap in traj.snapshots:
-        if snap_t >= t_star:
-            continue
-        tau_here = tracker.tau0 - 2.0 * tracker.c_r * tracker.k0 * snap_t
-        val = fields.gevrey_norm(snap, max(tau_here, 0.0), params["r"])
-        worst_ratio = max(worst_ratio, val / tracker.k0)
     checks.append(_check("norm_bounded_inside_window",
                          worst_ratio <= 1.0 + 1e-6, worst_ratio, 1.0))
 
@@ -694,10 +717,10 @@ def _run_lipschitz_blowup(params, tols, out_dir, threads):
 
     Each j gets a non-diffusive nonlinear run from Theta0 + eps times the
     unit eigenmode, a linear slice surrogate run, and the closed form
-    exp(sigma* t_probe).  The analytic window is checked against the
-    perturbation data (tau0 = 1/|k_base|, K0 its Gevrey norm); a j whose
-    window cannot reach t_probe is refused rather than run outside the
-    regime.
+    exp(sigma* t_probe).  The nonlinear run is held inside the analytic
+    window of the perturbation data (tau0 = 1/|k_base|, K0 its Gevrey
+    norm); a j whose window cannot reach t_probe is refused rather than
+    run outside the regime.
     """
     phys = PhysicalParams.from_mu(omega=params["omega"], mu=params["mu"])
     a, m, eps, dt = params["a"], params["m"], params["eps"], params["dt"]
@@ -710,18 +733,17 @@ def _run_lipschitz_blowup(params, tols, out_dir, threads):
         n = _resolution_for(j, m)
         psi = evolution.eigenmode_field(mode, n)
         tau0 = 1.0 / math.sqrt(j * j + j + m * m)
-        t_star = tau0 / (2.0 * fields.gevrey_norm(psi, tau0, 3.0) * eps)
-        if t_probe > t_star:
-            raise ExperimentError(
-                "params.t_probe: j = %d: probe time %.3g outside the "
-                "analytic window %.3g" % (j, t_probe, t_star))
-
+        window = (tau0, eps * fields.gevrey_norm(psi, tau0, 3.0))
         base = evolution.steady_state_field(n, a, m)
-        traj = evolution.evolve_nonlinear(
-            fields.SpectralField(base.coeffs + eps * psi.coeffs), 0.0, None,
-            dt, t_probe, phys=phys, analytic_guard=False, workers=threads)
+        try:
+            steps = evolution.nonlinear_steps(
+                fields.SpectralField(base.coeffs + eps * psi.coeffs), 0.0,
+                None, dt, t_probe, phys=phys, window=window, workers=threads)
+        except evolution.AnalyticWindowError as exc:
+            raise ExperimentError("params.t_probe: j = %d: %s" % (j, exc))
+        final = _final_field(steps, n)
         ratio_nl = float(np.linalg.norm(
-            (traj.final.coeffs - base.coeffs).ravel())) / eps
+            (final.coeffs - base.coeffs).ravel())) / eps
 
         p_keep = max(8, min(mode.truncation_P, n // m))
         lin = evolution.evolve_full_slice(
@@ -778,9 +800,11 @@ def _run_nonlinear_energy(params, tols, out_dir, threads):
 
     # energy identity with kappa > 0 and no source
     theta0 = _random_smooth_field(n, 0.6, params["seed"], scale=0.5)
-    traj = evolution.evolve_nonlinear(theta0, params["kappa_energy"], None,
-                                      0.01, 0.2, workers=threads)
-    worst_energy = float(np.max(traj.energy_residual))
+    kap_e = params["kappa_energy"]
+    worst_energy = max(
+        evolution.energy_residual(c, adv, kap_e) for _, c, adv in
+        evolution.nonlinear_steps(theta0, kap_e, None, 0.01, 0.2,
+                                  workers=threads))
     rows.append({"case": "energy_identity", "measured": worst_energy,
                  "target": tols["energy_residual"],
                  "ok": worst_energy <= tols["energy_residual"]})
@@ -791,9 +815,9 @@ def _run_nonlinear_energy(params, tols, out_dir, threads):
     a_s, m_s, kap_s = 1.0, 1, params["kappa_energy"]
     base = evolution.steady_state_field(n, a_s, m_s)
     source = evolution.steady_source_field(n, a_s, m_s, kap_s)
-    traj = evolution.evolve_nonlinear(base, kap_s, source, 0.02, 1.0,
-                                      workers=threads)
-    drift = float(np.linalg.norm((traj.final.coeffs - base.coeffs).ravel())
+    final = _final_field(evolution.nonlinear_steps(
+        base, kap_s, source, 0.02, 1.0, workers=threads), n)
+    drift = float(np.linalg.norm((final.coeffs - base.coeffs).ravel())
                   / np.linalg.norm(base.coeffs.ravel()))
     rows.append({"case": "steady_state_drift", "measured": drift,
                  "target": tols["steady_drift"],
@@ -809,8 +833,8 @@ def _run_nonlinear_energy(params, tols, out_dir, threads):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         for dt in (0.1, 0.05, 0.025, 0.00625):
-            tr = evolution.evolve_nonlinear(smooth, 0.02, None, dt, 0.4)
-            terminal[dt] = tr.final.coeffs
+            terminal[dt] = _final_field(evolution.nonlinear_steps(
+                smooth, 0.02, None, dt, 0.4), n_small).coeffs
     err = {dt: float(np.linalg.norm((terminal[dt]
                                      - terminal[0.00625]).ravel()))
            for dt in (0.1, 0.05, 0.025)}
@@ -832,19 +856,25 @@ def _run_nonlinear_energy(params, tols, out_dir, threads):
     psi = evolution.eigenmode_field(mode, n)
     init = fields.SpectralField(base.coeffs + params["eps_lin"] * psi.coeffs)
     t_end = params["steps_lin"] * params["dt_lin"]
-    traj = evolution.evolve_nonlinear(init, kap_l, source, params["dt_lin"],
-                                      t_end, reference=base, workers=threads)
-    fit_t = evolution.measure_growth_rate(traj.t, traj.pert_l2,
-                                          (0.0, t_end))
-    fit_b = evolution.measure_growth_rate(traj.t, traj.magnetic_l2,
-                                          (0.0, t_end))
-    rel_t = abs(fit_t.rate - mode.sigma) / mode.sigma
-    rel_b = abs(fit_b.rate - fit_t.rate) / fit_t.rate
-    ceiling = float(np.max(traj.pert_l2))
-    rows.append({"case": "linearized_rate", "measured": fit_t.rate,
+    ref = evolution.band(base.coeffs, cut)
+    b_sym = symbols.b_symbol_grids(cut, PhysicalParams())
+    t, pert, mag = [], [], []
+    for t_now, c, _ in evolution.nonlinear_steps(
+            init, kap_l, source, params["dt_lin"], t_end, workers=threads):
+        d = c - ref
+        t.append(t_now)
+        pert.append(float(np.linalg.norm(d.ravel())))
+        mag.append(math.sqrt(sum(float(np.sum(np.abs(b * d) ** 2))
+                                 for b in b_sym)))
+    rate_t = evolution.measure_growth_rate(t, pert, (0.0, t_end))
+    rate_b = evolution.measure_growth_rate(t, mag, (0.0, t_end))
+    rel_t = abs(rate_t - mode.sigma) / mode.sigma
+    rel_b = abs(rate_b - rate_t) / rate_t
+    ceiling = max(pert)
+    rows.append({"case": "linearized_rate", "measured": rate_t,
                  "target": mode.sigma, "ok": rel_t <= tols["rate_rel"]})
-    rows.append({"case": "magnetic_rate", "measured": fit_b.rate,
-                 "target": fit_t.rate, "ok": rel_b <= tols["rate_rel"]})
+    rows.append({"case": "magnetic_rate", "measured": rate_b,
+                 "target": rate_t, "ok": rel_b <= tols["rate_rel"]})
     rows.append({"case": "perturbation_ceiling", "measured": ceiling,
                  "target": tols["pert_ceiling"],
                  "ok": ceiling <= tols["pert_ceiling"]})

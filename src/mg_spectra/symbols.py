@@ -31,7 +31,6 @@ rational Omega and mu), so algebraic identities can be checked exactly.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -137,35 +136,6 @@ def m_symbol_grids(n: int, phys: PhysicalParams) -> np.ndarray:
 def b_symbol_grids(n: int, phys: PhysicalParams) -> np.ndarray:
     """b on the centered cube, complex, shape (3, 2n+1, 2n+1, 2n+1)."""
     return b_symbol(_cube(n), phys)
-
-
-@dataclass
-class AsymptoticsReport:
-    """Measured growth of |M_j| along the curve k = (k1, round(k1^r), 1)."""
-
-    r: float
-    rows: list  # (k1, k2, |M1|, |M2|, |M3|, ratio1, ratio2, ratio3)
-
-
-def symbol_asymptotics_report(r: float, k1_values: Sequence[int],
-                              phys: PhysicalParams) -> AsymptoticsReport:
-    """Tabulate |M_j(k1, round(k1^r), 1)| against k1^r, k1, k1^{2r}.
-
-    r must lie in (0, 1/2]; each normalized ratio stays inside a fixed
-    positive interval as k1 grows, exhibiting the unbounded directions of
-    the symbol.
-    """
-    if not 0 < r <= 0.5:
-        raise ValueError("exponent r must lie in (0, 1/2]")
-    k1 = np.asarray(k1_values)
-    if np.any(k1 < 1):
-        raise ValueError("k1 values must be >= 1")
-    k2 = np.maximum(1, np.rint(k1 ** r).astype(int))
-    am = np.abs(m_symbol((k1, k2, 1), phys))
-    scale = np.stack([k1 ** r, k1, k1 ** (2 * r)])
-    table = np.column_stack([k1, k2, am.T, (am / scale).T])
-    return AsymptoticsReport(r=r, rows=[tuple(map(float, row))
-                                        for row in table])
 
 
 def symbol_table_csv(path, n: int, phys: PhysicalParams) -> None:

@@ -8,7 +8,9 @@ config; 08 and 09 share one nonlinear-energy run and hold its wall time
 to each of their budgets.
 """
 
+import hashlib
 import json
+import math
 import time
 
 import numpy as np
@@ -32,6 +34,10 @@ def _run(name, out_dir):
     result = experiments.run_experiment(name, None, str(out_dir))
     with open(out_dir / "summary.json") as fh:
         return result, json.load(fh)["wall_time_s"]
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _rows(result, key):
@@ -196,12 +202,29 @@ def test_criterion_07_gevrey_radius(capsys):
 
 @pytest.fixture(scope="module")
 def nonlinear_energy(tmp_path_factory):
-    """One nonlinear-energy run serves criteria 08 and 09."""
-    return _run("nonlinear-energy", tmp_path_factory.mktemp("nonlinear"))
+    """One nonlinear-energy run serves criteria 08 and 09 and the pinned
+    output: (result, wall time, output directory)."""
+    out_dir = tmp_path_factory.mktemp("nonlinear")
+    return _run("nonlinear-energy", out_dir) + (out_dir,)
+
+
+# sha256 of the nonlinear family's default outputs at 17 digits: every
+# case of nonlinear-energy and lipschitz-blowup, and the tracked
+# gevrey-breakdown run with its refined radius
+NONLINEAR_SHA256 = {
+    "gevrey-breakdown/results.csv":
+        "b2af7378fa2e6e3a0951ec75922267e6d784febfa03134b11d387e9a59867b5f",
+    "gevrey-breakdown/tracker.csv":
+        "9f70f933598e681a47772831a78c8f14b89ce45663aafaefe6977c7927581923",
+    "lipschitz-blowup/results.csv":
+        "da84ec61541b926fbe66624a6d5f9a64f48f8edcf36cc2ada7447b14c41b96d8",
+    "nonlinear-energy/results.csv":
+        "59f0cc5233cf99b5a3955eade5a2cf3b28f1f6fbba98f12f1742c818f884a987",
+}
 
 
 def test_criterion_08_nonlinear_invariants(capsys, nonlinear_energy):
-    result, elapsed = nonlinear_energy
+    result, elapsed, _ = nonlinear_energy
     rows = _rows(result, "case")
     energy = rows["energy_identity"]["measured"]
     drift = rows["steady_state_drift"]["measured"]
@@ -217,7 +240,7 @@ def test_criterion_08_nonlinear_invariants(capsys, nonlinear_energy):
 
 
 def test_criterion_09_linearization_consistency(capsys, nonlinear_energy):
-    result, elapsed = nonlinear_energy
+    result, elapsed, _ = nonlinear_energy
     measured = _measured(result)
     rel_t = measured["linearized_rate"]
     rel_b = measured["magnetic_rate"]
@@ -228,6 +251,20 @@ def test_criterion_09_linearization_consistency(capsys, nonlinear_energy):
             "theta rate rel %.2e, magnetic rel %.2e, pert max %.2e, %.1fs"
             % (rel_t, rel_b, ceiling, elapsed))
     assert ok
+
+
+def test_nonlinear_energy_results_frozen(nonlinear_energy):
+    out_dir = nonlinear_energy[2]
+    assert _sha256(out_dir / "results.csv") \
+        == NONLINEAR_SHA256["nonlinear-energy/results.csv"]
+
+
+def test_gevrey_breakdown_outputs_frozen(tmp_path):
+    assert experiments.run_experiment("gevrey-breakdown", None,
+                                      str(tmp_path)).passed
+    for name in ("results.csv", "tracker.csv"):
+        assert _sha256(tmp_path / name) \
+            == NONLINEAR_SHA256["gevrey-breakdown/" + name]
 
 
 def test_criterion_10_lipschitz_blowup(capsys, tmp_path):
@@ -242,6 +279,8 @@ def test_criterion_10_lipschitz_blowup(capsys, tmp_path):
             "ratios %s increasing %s, worst gap %.2e, %.1fs"
             % (["%.3f" % r for r in ratios], increasing, worst, elapsed))
     assert ok
+    assert _sha256(tmp_path / "results.csv") \
+        == NONLINEAR_SHA256["lipschitz-blowup/results.csv"]
 
 
 def test_criterion_11_uniqueness_gronwall(capsys):
@@ -249,6 +288,12 @@ def test_criterion_11_uniqueness_gronwall(capsys):
     zero = ev.FullSliceState(mp=UNIT, theta=np.zeros(33, dtype=complex))
     traj0 = ev.evolve_full_slice(zero, 0.05, 2.0)
     zero_max = float(max(np.max(traj0.norm), np.max(traj0.magnetic_norm)))
+    # d/dt log ||theta||^2 <= 2 (mu k2^2 / (4 Omega^2)) (pi^2 / (3 sqrt 5))
+    # ||d3 Theta0||, with ||d3 Theta0|| = m a / sqrt 2 in coefficient l2
+    phys = UNIT.phys
+    bound = 2.0 * phys.mu * UNIT.k2 ** 2 / (4.0 * phys.omega ** 2) \
+        * math.pi ** 2 / (3.0 * math.sqrt(5.0)) \
+        * UNIT.m * UNIT.a / math.sqrt(2.0)
     rng = np.random.default_rng(23)
     worst_excess = -np.inf
     for trial in range(10):
@@ -256,7 +301,8 @@ def test_criterion_11_uniqueness_gronwall(capsys):
         th[16] = 0.0
         st = ev.FullSliceState(mp=UNIT, theta=th)
         traj = ev.evolve_full_slice(st, 0.05, 3.0)
-        excess = float(np.max(traj.log_derivative()) - traj.rate_bound)
+        rates = np.diff(2.0 * np.log(traj.norm)) / np.diff(traj.t)
+        excess = float(np.max(rates) - bound)
         worst_excess = max(worst_excess, excess)
     elapsed = time.monotonic() - start
     ok = zero_max <= 1e-14 and worst_excess <= 0.0 and elapsed < 30.0

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from mg_spectra.params import ModeParams, PhysicalParams
 from mg_spectra import evolution as ev
 from mg_spectra import experiments, fields, spectrum
-from mg_spectra.symbols import b_symbol, m_symbol
+from mg_spectra.symbols import b_symbol, b_symbol_grids, m_symbol
 
 UNIT = ModeParams()
 SIGMA_UNIT = 0.028619204092995829
@@ -46,8 +46,8 @@ def test_evolve_slice_eigen_rate():
     mode = spectrum.solve_growth_rate(UNIT)
     traj = ev.evolve_full_slice(ev.embed_restricted(UNIT, mode.c_tilde),
                                 0.05, 40.0)
-    fit = ev.measure_growth_rate(traj.t, traj.norm, (0.0, 40.0))
-    assert fit.rate == pytest.approx(SIGMA_UNIT, rel=1e-10)
+    rate = ev.measure_growth_rate(traj.t, traj.norm, (0.0, 40.0))
+    assert rate == pytest.approx(SIGMA_UNIT, rel=1e-10)
 
 
 def test_evolve_slice_dt_margin():
@@ -178,19 +178,31 @@ def test_full_slice_rhs_is_the_lifted_sine_generator(m, a, k1, k2, big_p,
     assert np.allclose(rhs, lifted.theta, rtol=0.0, atol=1e-13 * scale)
 
 
+def gronwall_constant(mp):
+    """Growth-rate bound for the slice L2 norm:
+    (mu k2^2 / (4 Omega^2)) (pi^2/(3 sqrt 5)) ||d3 Theta0||, where
+    ||d3 Theta0|| = m a / sqrt 2 in coefficient l2."""
+    om, mu = mp.phys.omega, mp.phys.mu
+    grad_norm = mp.m * mp.a / np.sqrt(2.0)
+    return mu * mp.k2 ** 2 / (4.0 * om * om) \
+        * np.pi ** 2 / (3.0 * np.sqrt(5.0)) * grad_norm
+
+
 def test_gronwall_bound_holds():
+    # d/dt log ||theta||^2 between steps stays under 2 gronwall_constant;
+    # diffusion only lowers the rate, so the kappa = 0 bound stands
     rng = np.random.default_rng(17)
     for trial in range(3):
         th = rng.standard_normal(33) + 1j * rng.standard_normal(33)
         th[16] = 0.0
         full = ev.FullSliceState(mp=UNIT, theta=th)
         traj = ev.evolve_full_slice(full, 0.05, 3.0)
-        rates = traj.log_derivative()
-        assert np.all(rates <= traj.rate_bound + 1e-9)
+        rates = np.diff(2.0 * np.log(traj.norm)) / np.diff(traj.t)
+        assert np.all(rates <= 2.0 * gronwall_constant(UNIT) + 1e-9)
 
 
 def test_gronwall_constant_value():
-    c = ev.gronwall_constant(UNIT)
+    c = gronwall_constant(UNIT)
     # (mu k2^2 / 4 Omega^2) * (pi^2 / 3 sqrt 5) * ||d3 Theta0||
     expect = 0.25 * (np.pi ** 2 / (3.0 * np.sqrt(5.0))) * (1.0 / np.sqrt(2.0))
     assert c == pytest.approx(expect, rel=1e-12)
@@ -199,9 +211,8 @@ def test_gronwall_constant_value():
 def test_measure_growth_rate_exact_exponential():
     t = np.linspace(0.0, 2.0, 60)
     y = 3.0 * np.exp(0.7 * t)
-    fit = ev.measure_growth_rate(t, y, (0.0, 2.0))
-    assert fit.rate == pytest.approx(0.7, rel=1e-12)
-    assert fit.residual_rms <= 1e-12
+    assert ev.measure_growth_rate(t, y, (0.0, 2.0)) == pytest.approx(
+        0.7, rel=1e-12)
     with pytest.raises(ValueError):
         ev.measure_growth_rate(t[:5], y[:5], (0.0, 2.0))
 
@@ -243,50 +254,75 @@ def test_steady_fields():
     assert src[(0, 0, 3)] == pytest.approx(-0.9j)
 
 
+def _final(steps):
+    """The last band state of a nonlinear_steps run."""
+    for _, c, _ in steps:
+        pass
+    return c
+
+
 def test_nonlinear_rejects_bad_initial():
     c = np.zeros((9, 9, 9), dtype=complex)
     c[4, 4, 4] = 1.0  # nonzero mean
     with pytest.raises(ValueError):
-        ev.evolve_nonlinear(fields.SpectralField(c), 0.1, None, 0.01, 0.05)
+        ev.nonlinear_steps(fields.SpectralField(c), 0.1, None, 0.01, 0.05)
     c2 = np.zeros((9, 9, 9), dtype=complex)
     c2[5, 4, 4] = 1.0
     c2[3, 4, 4] = 1.0  # vertical-mean plane populated
     with pytest.raises(ValueError):
-        ev.evolve_nonlinear(fields.SpectralField(c2), 0.1, None, 0.01, 0.05)
+        ev.nonlinear_steps(fields.SpectralField(c2), 0.1, None, 0.01, 0.05)
     c3 = np.zeros((9, 9, 9), dtype=complex)
     c3[5, 4, 5] = 1.0
     c3[3, 4, 3] = 1.0j  # c(-k) != conj(c(k)): not a real field
     with pytest.raises(ValueError, match="real"):
-        ev.evolve_nonlinear(fields.SpectralField(c3), 0.1, None, 0.01, 0.05)
+        ev.nonlinear_steps(fields.SpectralField(c3), 0.1, None, 0.01, 0.05)
     # a real mode pair k = +-(8, 0, 1) at n = 8 lies outside the band
     # |k_i| <= 5, where the solver holds no state
     wide = np.zeros((17, 17, 17), dtype=complex)
     wide[16, 8, 9] = wide[0, 8, 7] = 0.5
     with pytest.raises(ValueError, match="band"):
-        ev.evolve_nonlinear(fields.SpectralField(wide), 0.1, None, 0.01, 0.05)
-    # the source and the reference field are held to the same contract
+        ev.nonlinear_steps(fields.SpectralField(wide), 0.1, None, 0.01, 0.05)
+    # the source is held to the same contract
     base = ev.steady_state_field(8, 1.0, 1)
     with pytest.raises(ValueError, match="source must lie inside"):
-        ev.evolve_nonlinear(base, 0.1, fields.SpectralField(wide), 0.01, 0.05)
-    with pytest.raises(ValueError, match="reference must lie inside"):
-        ev.evolve_nonlinear(base, 0.1, None, 0.01, 0.05,
-                            reference=fields.SpectralField(wide))
+        ev.nonlinear_steps(base, 0.1, fields.SpectralField(wide), 0.01, 0.05)
     # a source on a larger cube than theta0 is refused, even when it lies
     # inside its own band: modes at +-(7, 0, 1) fall outside theta0's band
     big = np.zeros((33, 33, 33), dtype=complex)
     big[23, 16, 17] = big[9, 16, 15] = 0.5
     with pytest.raises(ValueError, match="source must share"):
-        ev.evolve_nonlinear(base, 0.1, fields.SpectralField(big), 0.01, 0.05)
-    with pytest.raises(ValueError, match="reference must share"):
-        ev.evolve_nonlinear(base, 0.1, None, 0.01, 0.05,
-                            reference=fields.SpectralField(big))
+        ev.nonlinear_steps(base, 0.1, fields.SpectralField(big), 0.01, 0.05)
+
+
+def test_nonlinear_steps_contract():
+    base = ev.steady_state_field(8, 1.0, 1)
+    # bad input raises at the call, before any step is asked for
+    with pytest.raises(ValueError, match="positive"):
+        ev.nonlinear_steps(base, 0.1, None, -0.01, 0.05)
+    # an inviscid run is refused without its analytic window
+    with pytest.raises(ev.AnalyticWindowError, match="analytic window"):
+        ev.nonlinear_steps(base, 0.0, None, 0.01, 0.05)
+    steps = ev.nonlinear_steps(base, 0.0, None, 0.01, 0.05,
+                               window=ev.analytic_window(base, 3.0))
+    seen = []
+    for t, c, adv in steps:
+        assert not c.flags.writeable
+        with pytest.raises(ValueError):
+            c[0, 0, 0] = 1.0
+        assert c.shape == adv.shape == (11, 11, 11)
+        seen.append(t)
+    assert seen == [0.01 * i for i in range(6)]
+    # the yielded state is the band of theta0 padded back by band_field
+    first = next(iter(ev.nonlinear_steps(base, 0.1, None, 0.01, 0.05)))[1]
+    assert np.array_equal(ev.band_field(first, 8).coeffs, base.coeffs)
 
 
 def test_nonlinear_steady_state_fixed():
     base = ev.steady_state_field(8, 1.0, 1)
     src = ev.steady_source_field(8, 1.0, 1, 0.1)
-    traj = ev.evolve_nonlinear(base, 0.1, src, 0.02, 0.1)
-    drift = np.linalg.norm((traj.final.coeffs - base.coeffs).ravel())
+    final = ev.band_field(_final(ev.nonlinear_steps(base, 0.1, src, 0.02,
+                                                    0.1)), 8)
+    drift = np.linalg.norm((final.coeffs - base.coeffs).ravel())
     assert drift <= 1e-15
 
 
@@ -345,7 +381,7 @@ def test_advection_matches_triad_sum(n):
 def test_rk4_step_properties(n, seed, kappa, dt):
     solver = ev.NonlinearSolver(n, kappa=kappa)
     cut = solver.cut
-    c = ev._band(_smooth_real_field(n, seed), cut)
+    c = ev.band(_smooth_real_field(n, seed), cut)
     adv = solver.advection(c)
     # energy: <c, U.grad c> = 0 for the band-limited product
     assert abs(np.vdot(c, adv)) <= 1e-13 * np.linalg.norm(c) \
@@ -362,7 +398,7 @@ def test_rk4_step_properties(n, seed, kappa, dt):
 def _advection_allocating(solver, c):
     """(advection, max |U_j|) by the transform path with a fresh array per
     transform and product: the reference for the solver's in-place path."""
-    c = ev._band(c, solver.cut)
+    c = ev.band(c, solver.cut)
     m1, m2, m3 = solver.msym
 
     def to_phys(spec):
@@ -401,7 +437,7 @@ def test_solver_grids_keep_nothing_between_calls():
     n = 8
     used = ev.NonlinearSolver(n, kappa=0.3)
     fresh = ev.NonlinearSolver(n, kappa=0.3)
-    a, b = (ev._band(_smooth_real_field(n, seed), used.cut)
+    a, b = (ev.band(_smooth_real_field(n, seed), used.cut)
             for seed in (21, 22))
     used.rhs(a)
     out, adv = used.rhs(b)
@@ -416,7 +452,7 @@ def test_warm_rhs_allocates_no_grid():
     # on the solver's grids, and only the real transform's 2.1 MiB half
     # spectrum and band-sized arrays are new per call
     solver = ev.NonlinearSolver(32, kappa=0.1)
-    c = ev._band(_smooth_real_field(32, 5), solver.cut)
+    c = ev.band(_smooth_real_field(32, 5), solver.cut)
     solver.rhs(c)
     tracemalloc.start()
     try:
@@ -432,7 +468,7 @@ def test_cfl_warning_fires_once_on_the_coarse_order_run():
     smooth = experiments._random_smooth_field(12, 1.0, 8, scale=1.0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        ev.evolve_nonlinear(smooth, 0.02, None, 0.1, 0.4)
+        _final(ev.nonlinear_steps(smooth, 0.02, None, 0.1, 0.4))
     assert [(w.category, str(w.message)) for w in caught] == [
         (RuntimeWarning, "CFL heuristic exceeded: max|U| dt N = 2.31 > 0.5")]
 
@@ -440,8 +476,8 @@ def test_cfl_warning_fires_once_on_the_coarse_order_run():
 def test_nonlinear_final_independent_of_workers():
     c = _smooth_real_field(16, 3)
     c *= 0.3 / np.linalg.norm(c.ravel())
-    final = [ev.evolve_nonlinear(fields.SpectralField(c), 0.1, None, 0.01,
-                                 0.05, workers=w).final.coeffs
+    final = [_final(ev.nonlinear_steps(fields.SpectralField(c), 0.1, None,
+                                       0.01, 0.05, workers=w))
              for w in (1, 2)]
     assert np.array_equal(final[0], final[1])
 
@@ -449,17 +485,24 @@ def test_nonlinear_final_independent_of_workers():
 def test_nonlinear_energy_identity_small():
     c = _smooth_real_field(8, 2)
     c *= 0.3 / np.linalg.norm(c.ravel())
-    traj = ev.evolve_nonlinear(fields.SpectralField(c), 0.2, None, 0.01, 0.1)
-    assert np.max(traj.energy_residual) <= 1e-10
-    assert np.all(np.diff(traj.l2) < 0.0)
+    steps = ev.nonlinear_steps(fields.SpectralField(c), 0.2, None, 0.01, 0.1)
+    residual, l2 = zip(*((ev.energy_residual(c, adv, 0.2), np.linalg.norm(c))
+                         for _, c, adv in steps))
+    assert max(residual) <= 1e-10
+    assert np.all(np.diff(l2) < 0.0)
 
 
 def test_nonlinear_analytic_window_guard():
     # inviscid runs refuse horizons beyond the guaranteed analytic window
     base = ev.steady_state_field(8, 1.0, 1)
+    window = ev.analytic_window(base, 3.0)
     with pytest.raises(ev.AnalyticWindowError, match="analytic window"):
-        ev.evolve_nonlinear(base, 0.0, None, 0.01, 1e6)
+        ev.nonlinear_steps(base, 0.0, None, 0.01, 1e6, window=window)
     assert issubclass(ev.AnalyticWindowError, ValueError)
+    # the window of theta0's band; a radius under the floor 0.02 is refused
+    rough = experiments._synthetic_decay_field(16, 0.01, 3.0, 5e-4, seed=11)
+    with pytest.raises(ev.AnalyticWindowError, match="below the floor"):
+        ev.analytic_window(rough, 3.0)
 
 
 def test_nonlinear_tracks_perturbation_and_magnetic():
@@ -468,14 +511,16 @@ def test_nonlinear_tracks_perturbation_and_magnetic():
     mode = spectrum.solve_growth_rate(UNIT)
     psi = ev.eigenmode_field(mode, n)
     init = fields.SpectralField(base.coeffs + 1e-4 * psi.coeffs)
-    traj = ev.evolve_nonlinear(init, 0.05, ev.steady_source_field(n, 1.0, 1, 0.05),
-                               0.01, 0.1, reference=base)
-    assert traj.pert_l2[0] == pytest.approx(1e-4, rel=1e-10)
-    assert np.all(traj.magnetic_l2 > 0.0)
-    # without a reference neither norm is recorded
-    bare = ev.evolve_nonlinear(init, 0.05, ev.steady_source_field(n, 1.0, 1, 0.05),
-                               0.01, 0.1)
-    assert np.all(np.isnan(bare.pert_l2)) and np.all(np.isnan(bare.magnetic_l2))
+    # the perturbation and its induced field, as nonlinear-energy reads them
+    ref = ev.band(base.coeffs, ev.dealias_cut(n))
+    b_sym = b_symbol_grids(ev.dealias_cut(n), PhysicalParams())
+    pert, mag = [], []
+    for _, c, _ in ev.nonlinear_steps(
+            init, 0.05, ev.steady_source_field(n, 1.0, 1, 0.05), 0.01, 0.1):
+        pert.append(np.linalg.norm(c - ref))
+        mag.append(np.sqrt(np.sum(np.abs(b_sym * (c - ref)) ** 2)))
+    assert pert[0] == pytest.approx(1e-4, rel=1e-10)
+    assert len(mag) == 11 and min(mag) > 0.0
 
 
 def test_divergence_error():
@@ -487,8 +532,8 @@ def test_divergence_error():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(ev.DivergenceError):
-            ev.evolve_nonlinear(fields.SpectralField(c), 50.0, None, 1.0,
-                                40.0)
+            _final(ev.nonlinear_steps(fields.SpectralField(c), 50.0, None,
+                                      1.0, 40.0))
 
 
 def test_rk4_step_is_the_textbook_formula():

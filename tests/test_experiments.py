@@ -75,6 +75,15 @@ def test_validate_config_merge_and_types():
                   "params": {"j_list": [1, 2]}},
                  "params.j_list[1]: 2 is not a perfect square",
                  id="lipschitz-j-2"),
+    # a repeated j would fail the strictly-increasing checks as a claim
+    pytest.param({"experiment": "illposed-scaling",
+                  "params": {"j_list": [4, 4]}},
+                 "params.j_list[1]: 4 repeats params.j_list[0]",
+                 id="illposed-j-repeat"),
+    pytest.param({"experiment": "lipschitz-blowup",
+                  "params": {"j_list": [9, 1, 4, 1.0]}},
+                 "params.j_list[3]: 1 repeats params.j_list[1]",
+                 id="lipschitz-j-repeat"),
 ])
 def test_validate_config_rejects(config, fragment):
     name = config.get("experiment", "sigma-table")
@@ -268,6 +277,16 @@ def test_cli_bad_list_entry_is_a_usage_error(tmp_path, capsys):
     # the inviscid run cannot reach t = 50 inside the analytic window
     ("gevrey-breakdown", {"t_end": 50},
      "params.t_end: horizon 50 exceeds the analytic window"),
+    # the initial data's radius is under the floor an analytic window
+    # is built from
+    ("gevrey-breakdown", {"tau_field": 0.01},
+     "params.tau_field: estimated analyticity radius"),
+    # |k|^{2r} overflows on the band: no Gevrey norm, no window
+    ("gevrey-breakdown", {"r": 200}, "params.r: Gevrey weight overflowed"),
+    # a window short enough for r = 110, but the norm check of the state
+    # padded to n = 16 overflows beyond the band
+    ("gevrey-breakdown", {"r": 110, "dt": 1e-200, "t_end": 1e-200},
+     "params.r: Gevrey weight overflowed at |k| = 27.71"),
 ])
 def test_cli_range_faults_are_usage_errors(tmp_path, capsys, name, params,
                                            fragment):

@@ -109,19 +109,20 @@ def test_grids_even_symmetry():
 
 
 def test_asymptotics_report():
-    with pytest.raises(ValueError):
-        symbols.symbol_asymptotics_report(0.75, [1, 2], UNIT)
-    rep = symbols.symbol_asymptotics_report(0.5, [4, 16, 64, 256], UNIT)
-    ratios = np.array(rep.rows)[:, 5:]
-    for lo, hi in zip(ratios.min(axis=0), ratios.max(axis=0)):
+    # along k = (k1, round(k1^r), 1), r = 1/2, |M_j| grows like k1^r, k1
+    # and k1^{2r}: each normalized ratio stays inside a fixed positive
+    # interval while |M2| itself is unbounded
+    k1 = np.array([4, 16, 64, 256])
+    k2 = np.rint(k1 ** 0.5).astype(int)
+    am = np.abs(symbols.m_symbol((k1, k2, 1), UNIT))
+    ratios = am / np.stack([k1 ** 0.5, k1, k1 ** 1.0])
+    for lo, hi in zip(ratios.min(axis=1), ratios.max(axis=1)):
         assert lo > 0
         assert hi / lo < 10.0
-    for row in rep.rows:
-        m = symbols.m_symbol((int(row[0]), int(row[1]), 1), UNIT)
-        assert list(row[2:5]) == list(np.abs(m))
-    # |M2| itself is unbounded along the curve
-    m2 = [row[3] for row in rep.rows]
-    assert m2[-1] > 10.0 * m2[0]
+    for j in range(k1.size):
+        m = symbols.m_symbol((int(k1[j]), int(k2[j]), 1), UNIT)
+        assert list(am[:, j]) == list(np.abs(m))
+    assert am[1, -1] > 10.0 * am[1, 0]
 
 
 def test_symbol_table_csv(tmp_path):
