@@ -26,8 +26,8 @@ from .spectrum import (
     truncated_matrix_eigenvalue,
 )
 from .fields import (
-    GevreyTracker,
     SpectralField,
+    accumulated,
     breakdown_criterion,
     gevrey_norm,
     radius_estimate,
@@ -48,7 +48,7 @@ __all__ = [
     "UnstableMode", "alpha", "analytic_bracket", "f_continued_fraction",
     "solve_growth_rate", "solve_growth_rate_diffusive", "sweep_growth_rates",
     "truncated_matrix_eigenvalue",
-    "GevreyTracker", "SpectralField", "breakdown_criterion", "gevrey_norm",
+    "SpectralField", "accumulated", "breakdown_criterion", "gevrey_norm",
     "radius_estimate", "radius_ode_linear", "radius_ode_refined",
     "evolve_full_slice", "measure_growth_rate", "nonlinear_steps",
     "__version__",

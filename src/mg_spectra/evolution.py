@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .fields import (SpectralField, gevrey_norm, radius_estimate,
+from .fields import (SpectralField, gevrey_norm, l2_norm, radius_estimate,
                      wavenumber_norms)
 from .params import ModeParams, PhysicalParams
 # solve_growth_rate is unused here; perfbench/test_perfbench.py checks
@@ -269,7 +269,7 @@ def eigenmode_field(mode: UnstableMode, n: int) -> SpectralField:
         for s1, s2, s3 in itertools.product((1, -1), repeat=3):
             coeffs[n + s1 * mp.k1, n + s2 * mp.k2, n + s3 * mp.m * p] \
                 += 0.125j * s1 * s2 * s3 * cp
-    nrm = np.linalg.norm(coeffs.ravel())
+    nrm = l2_norm(coeffs)
     if nrm == 0:
         raise ValueError("eigenvector has no modes inside the truncation")
     return SpectralField(coeffs / nrm)

@@ -22,6 +22,7 @@ import os
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -237,15 +238,12 @@ def _check(name, passed, measured, tolerance) -> dict:
             "tolerance": tolerance}
 
 
+@dataclass
 class ExperimentResult:
-    def __init__(self, name, columns, rows, checks, extra_files=None,
-                 counters=None):
-        self.name = name
-        self.columns = columns
-        self.rows = rows
-        self.checks = checks
-        self.extra_files = extra_files or {}
-        self.counters = counters
+    columns: list
+    rows: list
+    checks: list
+    counters: dict = None
 
     @property
     def passed(self) -> bool:
@@ -271,7 +269,7 @@ def _random_smooth_field(n: int, decay: float, seed: int,
     c *= np.exp(-decay * fields.wavenumber_norms(n))
     c[:, :, n] = 0.0
     c = _hermitianize(evolution.band_limit(c))
-    nrm = np.linalg.norm(c.ravel())
+    nrm = fields.l2_norm(c)
     return fields.SpectralField(c * (scale / nrm))
 
 
@@ -335,7 +333,7 @@ def _run_sigma_table(params, tols, out_dir, threads):
     ]
     columns = ["a", "m", "k1", "k2", "alpha1", "alpha2", "bracket_lo",
                "sigma", "bracket_hi", "residual", "inside", "residual_ok"]
-    return ExperimentResult("sigma-table", columns, rows, checks)
+    return ExperimentResult(columns, rows, checks)
 
 
 def _run_oracle_xcheck(params, tols, out_dir, threads):
@@ -375,7 +373,7 @@ def _run_oracle_xcheck(params, tols, out_dir, threads):
     ]
     columns = ["a", "m", "k1", "k2", "kappa", "root", "sigma_cf",
                "lambda_matrix", "rel_diff", "ok"]
-    return ExperimentResult("oracle-xcheck", columns, rows, checks)
+    return ExperimentResult(columns, rows, checks)
 
 
 def _run_slice_growth(params, tols, out_dir, threads):
@@ -418,8 +416,7 @@ def _run_slice_growth(params, tols, out_dir, threads):
         _check("generic_rate", rows[1]["ok"], rel_g, tols["generic_rel"]),
     ]
     columns = ["case", "sigma", "fitted", "rel_err", "tolerance", "ok"]
-    return ExperimentResult("slice-growth", columns, rows, checks,
-                            {"trajectory": traj_path})
+    return ExperimentResult(columns, rows, checks)
 
 
 def _run_illposed_scaling(params, tols, out_dir, threads):
@@ -447,7 +444,7 @@ def _run_illposed_scaling(params, tols, out_dir, threads):
                    default=0.0), 0.0),
     ]
     columns = ["j", "k1", "k2", "sigma", "bound", "ratio", "above_bound"]
-    return ExperimentResult("illposed-scaling", columns, rows, checks)
+    return ExperimentResult(columns, rows, checks)
 
 
 def _sweep_counters(sweep, kappa):
@@ -504,7 +501,7 @@ def _run_diffusive_sweep(params, tols, out_dir, threads):
                bound_violations, 0),
     ]
     columns = ["k1", "k2", "sigma", "lower_bound"]
-    return ExperimentResult("diffusive-sweep", columns, rows, checks,
+    return ExperimentResult(columns, rows, checks,
                             counters={"sweep": [_sweep_counters(sweep,
                                                                 kappa)]})
 
@@ -570,7 +567,7 @@ def _run_dynamo_scaling(params, tols, out_dir, threads):
                "k1_predicted", "k2_predicted", "sigma_max", "sigma_bound",
                "sigma_times_kappa", "rate_theta", "rate_magnetic",
                "bound_met"]
-    return ExperimentResult("dynamo-scaling", columns, rows, checks,
+    return ExperimentResult(columns, rows, checks,
                             counters={"sweep": [box for _, box in done]})
 
 
@@ -581,8 +578,8 @@ def _run_gevrey_breakdown(params, tols, out_dir, threads):
     n_steps = int(round(params["t_end"] / params["dt"]))
     if n_steps < 1:
         raise ExperimentError(
-            "params.t_end: %g is less than half a step dt = %g; the tracker "
-            "needs two samples" % (params["t_end"], params["dt"]))
+            "params.t_end: %g is less than half a step dt = %g; the radius "
+            "ODE needs two samples" % (params["t_end"], params["dt"]))
 
     # synthetic radius fits at the larger resolution
     worst_fit = 0.0
@@ -598,22 +595,19 @@ def _run_gevrey_breakdown(params, tols, out_dir, threads):
                          tols["fit_rel"]))
 
     # refined ODE against the closed exponential form for a constant-free run
-    probe = fields.GevreyTracker(tau0=0.7, k0=2.0, c_r=1.0, max_gap=0.05)
-    for t in np.linspace(0.0, 1.0, 41):
-        probe.append(float(t), 0.0)
-    refined = fields.radius_ode_refined(probe)
-    closed = 0.7 * np.exp(-2.0 * 2.0 * refined.t)
-    gap = float(np.max(np.abs(refined.tau - closed)))
+    probe_t = np.linspace(0.0, 1.0, 41)
+    refined = fields.radius_ode_refined(probe_t, np.zeros(41), 0.7, 2.0)
+    closed = 0.7 * np.exp(-2.0 * 2.0 * probe_t)
+    gap = float(np.max(np.abs(refined - closed)))
     checks.append(_check("refined_matches_closed_form",
                          gap <= tols["closed_form"], gap,
                          tols["closed_form"]))
 
     # spike series must fail the continuation criterion
-    spike = fields.GevreyTracker(tau0=0.1, k0=1.0, c_r=1.0, max_gap=0.05)
-    for i, t in enumerate(np.linspace(0.0, 1.0, 41)):
-        spike.append(float(t), 0.0 if t < 0.5 else 50.0)
+    spike = np.where(probe_t < 0.5, 0.0, 50.0)
     checks.append(_check("spike_fails_criterion",
-                         not fields.breakdown_criterion(spike), False, False))
+                         not fields.breakdown_criterion(probe_t, spike, 0.1,
+                                                        1.0), False, False))
 
     # tracked nonlinear run, on the band the solver holds, inside the
     # analytic window of its initial data
@@ -639,42 +633,43 @@ def _run_gevrey_breakdown(params, tols, out_dir, threads):
                                           params["t_end"], window=(tau0, k0))
     except evolution.AnalyticWindowError as exc:
         raise ExperimentError("params.t_end: %s" % exc)
-    tracker = fields.GevreyTracker(tau0=tau0, k0=k0,
-                                   max_gap=2.0 * params["dt"])
-    t_star = fields.radius_ode_linear(tau0, k0, tracker.c_r, 0.0)[1]
     # the Gevrey norm stays under K0 while tau follows the linear decay;
     # checked at every stride-th step inside the window
+    tau_lin, t_star = fields.radius_ode_linear(
+        tau0, k0, 1.0, np.arange(n_steps + 1) * params["dt"])
     stride = max(1, n_steps // 4)
     worst_ratio = 0.0
-    for i, (t, c, _) in enumerate(steps):
-        tracker.append(t, fields.sobolev_a(fields.SpectralField(c)))
-        if i % stride == 0 and t < t_star:
-            tau_here = tau0 - 2.0 * tracker.c_r * k0 * t
+    t, a = [], []
+    for i, (t_now, c, _) in enumerate(steps):
+        t.append(t_now)
+        a.append(fields.sobolev_a(fields.SpectralField(c)))
+        if i % stride == 0 and t_now < t_star:
             try:
                 val = fields.gevrey_norm(evolution.band_field(c, n),
-                                         max(tau_here, 0.0), params["r"])
+                                         tau_lin[i], params["r"])
             except fields.GevreyOverflowError as exc:
                 raise ExperimentError("params.r: %s" % exc)
             worst_ratio = max(worst_ratio, val / k0)
 
-    refined_run = fields.radius_ode_refined(tracker)
-    acc = tracker.accumulated()
-    for t, accv, tr in zip(tracker.t, acc, refined_run.tau):
-        rows.append({"series": "run", "x": float(t), "value": float(tr),
-                     "extra": float(accv)})
-    tracker_path = os.path.join(out_dir, "tracker.csv")
-    fields.tracker_to_csv(tracker, tracker_path, refined_run.tau)
+    t, a = np.array(t), np.array(a)
+    tau = fields.radius_ode_refined(t, a, tau0, k0)
+    acc = fields.accumulated(t, a)
+    for t_i, acc_i, tau_i in zip(t, acc, tau):
+        rows.append({"series": "run", "x": t_i, "value": tau_i,
+                     "extra": acc_i})
+    tracker_columns = ["t", "a", "A", "tau"]
+    _write_csv(os.path.join(out_dir, "tracker.csv"), tracker_columns,
+               [dict(zip(tracker_columns, row))
+                for row in zip(t, a, acc, tau)])
 
-    # refined tau must satisfy its own ODE on the sample grid
-    mid_t = 0.5 * (tracker.t[1:] + tracker.t[:-1])
-    tau_dot = np.diff(refined_run.tau) / np.diff(tracker.t)
-    a_mid = np.interp(mid_t, tracker.t, tracker.a)
-    acc_mid = np.interp(mid_t, tracker.t, acc)
-    tau_mid = np.interp(mid_t, tracker.t, refined_run.tau)
+    # refined tau must satisfy its own ODE (c_r = 1) on the sample grid
+    mid_t = 0.5 * (t[1:] + t[:-1])
+    tau_dot = np.diff(tau) / np.diff(t)
+    a_mid = np.interp(mid_t, t, a)
+    acc_mid = np.interp(mid_t, t, acc)
+    tau_mid = np.interp(mid_t, t, tau)
     ode_res = float(np.max(np.abs(
-        tau_dot + 3.0 * tracker.c_r * a_mid
-        + 2.0 * tracker.c_r * tracker.k0 * tau_mid
-        * np.exp(-tracker.c_r * acc_mid))))
+        tau_dot + 3.0 * a_mid + 2.0 * k0 * tau_mid * np.exp(-acc_mid))))
     checks.append(_check("refined_ode_residual",
                          ode_res <= tols["ode_residual"], ode_res,
                          tols["ode_residual"]))
@@ -685,14 +680,9 @@ def _run_gevrey_breakdown(params, tols, out_dir, threads):
     # sign-convention comparison with positivity of the refined radius
     agree = True
     for c_r in params["c_r_list"]:
-        alt = fields.GevreyTracker(tau0=tracker.tau0, k0=tracker.k0,
-                                   c_r=float(c_r), max_gap=tracker.max_gap)
-        for t, av in zip(tracker.t, tracker.a):
-            alt.append(float(t), float(av))
-        holds = fields.breakdown_criterion(alt)
-        tau_alt = fields.radius_ode_refined(alt).tau
-        positive = bool(tau_alt[-1] > 0)
-        rows.append({"series": "criterion_c_r", "x": float(c_r),
+        holds = fields.breakdown_criterion(t, a, tau0, k0, c_r)
+        positive = bool(fields.radius_ode_refined(t, a, tau0, k0, c_r)[-1] > 0)
+        rows.append({"series": "criterion_c_r", "x": c_r,
                      "value": float(holds), "extra": float(positive)})
         if holds != positive:
             agree = False
@@ -703,8 +693,7 @@ def _run_gevrey_breakdown(params, tols, out_dir, threads):
                  "value": float(agree), "extra": 0.0})
 
     columns = ["series", "x", "value", "extra"]
-    return ExperimentResult("gevrey-breakdown", columns, rows, checks,
-                            {"tracker": tracker_path})
+    return ExperimentResult(columns, rows, checks)
 
 
 def _resolution_for(j: int, m: int) -> int:
@@ -742,8 +731,7 @@ def _run_lipschitz_blowup(params, tols, out_dir, threads):
         except evolution.AnalyticWindowError as exc:
             raise ExperimentError("params.t_probe: j = %d: %s" % (j, exc))
         final = _final_field(steps, n)
-        ratio_nl = float(np.linalg.norm(
-            (final.coeffs - base.coeffs).ravel())) / eps
+        ratio_nl = fields.l2_norm(final.coeffs - base.coeffs) / eps
 
         p_keep = max(8, min(mode.truncation_P, n // m))
         lin = evolution.evolve_full_slice(
@@ -772,7 +760,7 @@ def _run_lipschitz_blowup(params, tols, out_dir, threads):
     ]
     columns = ["j", "sigma", "ratio_nonlinear", "ratio_linear_run",
                "ratio_closed_form", "gap_vs_closed"]
-    return ExperimentResult("lipschitz-blowup", columns, rows, checks)
+    return ExperimentResult(columns, rows, checks)
 
 
 def _run_nonlinear_energy(params, tols, out_dir, threads):
@@ -817,8 +805,8 @@ def _run_nonlinear_energy(params, tols, out_dir, threads):
     source = evolution.steady_source_field(n, a_s, m_s, kap_s)
     final = _final_field(evolution.nonlinear_steps(
         base, kap_s, source, 0.02, 1.0, workers=threads), n)
-    drift = float(np.linalg.norm((final.coeffs - base.coeffs).ravel())
-                  / np.linalg.norm(base.coeffs.ravel()))
+    drift = (fields.l2_norm(final.coeffs - base.coeffs)
+             / fields.l2_norm(base.coeffs))
     rows.append({"case": "steady_state_drift", "measured": drift,
                  "target": tols["steady_drift"],
                  "ok": drift <= tols["steady_drift"]})
@@ -835,8 +823,7 @@ def _run_nonlinear_energy(params, tols, out_dir, threads):
         for dt in (0.1, 0.05, 0.025, 0.00625):
             terminal[dt] = _final_field(evolution.nonlinear_steps(
                 smooth, 0.02, None, dt, 0.4), n_small).coeffs
-    err = {dt: float(np.linalg.norm((terminal[dt]
-                                     - terminal[0.00625]).ravel()))
+    err = {dt: fields.l2_norm(terminal[dt] - terminal[0.00625])
            for dt in (0.1, 0.05, 0.025)}
     ratio1 = err[0.1] / err[0.05]
     ratio2 = err[0.05] / err[0.025]
@@ -863,7 +850,7 @@ def _run_nonlinear_energy(params, tols, out_dir, threads):
             init, kap_l, source, params["dt_lin"], t_end, workers=threads):
         d = c - ref
         t.append(t_now)
-        pert.append(float(np.linalg.norm(d.ravel())))
+        pert.append(fields.l2_norm(d))
         mag.append(math.sqrt(sum(float(np.sum(np.abs(b * d) ** 2))
                                  for b in b_sym)))
     rate_t = evolution.measure_growth_rate(t, pert, (0.0, t_end))
@@ -887,7 +874,7 @@ def _run_nonlinear_energy(params, tols, out_dir, threads):
                          tols["pert_ceiling"]))
 
     columns = ["case", "measured", "target", "ok"]
-    return ExperimentResult("nonlinear-energy", columns, rows, checks)
+    return ExperimentResult(columns, rows, checks)
 
 
 _RUNNERS = {

@@ -8,12 +8,14 @@ Theta divided by (2 pi)^{3/2}.  The Gevrey norm squared is
     sum_k |k|^{2r} exp(2 tau |k|) |c(k)|^2
 
 and the scalar driving the radius ODEs is a = sum_k |k|^{3/2} |c(k)|.
+The radius tools are plain functions of the samples (t, a) along a
+trajectory and of the window (tau0, K0) and constant C_r.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +29,7 @@ class InsufficientShellsError(ValueError):
 
 
 class SamplingError(ValueError):
-    """Raised when tracker samples are too sparse for the requested quadrature."""
+    """Raised when fewer than two (t, a) samples reach the radius tools."""
 
 
 @dataclass(frozen=True)
@@ -92,6 +94,14 @@ def _index(k, n: int) -> tuple:
     return tuple(x + n for x in k)
 
 
+def l2_norm(c: np.ndarray) -> float:
+    """sqrt(sum |c|^2) by numpy's own summation, with the same bits at any
+    BLAS thread count (np.linalg.norm's BLAS dot sums in a thread-dependent
+    order)."""
+    c = np.asarray(c)
+    return float(np.sqrt(np.sum(c.real ** 2 + c.imag ** 2)))
+
+
 def sobolev_a(fld: SpectralField, s: float = 1.5) -> float:
     """sum |k|^s |c(k)|, the quantity accumulated by the radius ODEs."""
     kn = wavenumber_norms(fld.n)
@@ -113,7 +123,8 @@ def gevrey_norm(fld: SpectralField, tau: float, r: float) -> float:
     mag2 = np.abs(fld.coeffs[mask]) ** 2
     with np.errstate(over="ignore", invalid="ignore"):
         w = kn ** (2.0 * r) * np.exp(2.0 * tau * kn)
-        total = float(np.sum(w * mag2))
+        # an overflowed weight on an empty shell adds nothing
+        total = float(np.sum(np.where(mag2 > 0, w * mag2, 0.0)))
     if not np.isfinite(total) or not np.all(np.isfinite(w[mag2 > 0])):
         bad = kn[(~np.isfinite(w)) & (mag2 > 0)]
         shell = float(np.max(bad)) if bad.size else float(np.max(kn))
@@ -129,14 +140,11 @@ class RadiusEstimate:
 
     radius is the fitted analyticity radius; entire is set when the field
     is a trigonometric polynomial (exact-zero tail), in which case radius
-    is +inf.  shells is the number of populated shells used by the fit.
+    is +inf.
     """
 
     radius: float
     entire: bool
-    shells: int
-    slope: float
-    intercept: float
 
 
 # shells at or below this magnitude are left out of the decay fit
@@ -183,9 +191,7 @@ def radius_estimate(fld: SpectralField) -> RadiusEstimate:
         else:
             break
     if tail >= 3 and np.any(cstar > 0):
-        return RadiusEstimate(radius=float("inf"), entire=True,
-                              shells=int(np.sum(cstar > 0)), slope=0.0,
-                              intercept=0.0)
+        return RadiusEstimate(radius=float("inf"), entire=True)
 
     use = cstar > _SHELL_FLOOR
     if int(np.sum(use)) < _MIN_SHELLS:
@@ -196,65 +202,31 @@ def radius_estimate(fld: SpectralField) -> RadiusEstimate:
     y = np.log(cstar[use])
     x = np.column_stack([np.ones_like(r), r, np.log(r)])
     beta, *_ = np.linalg.lstsq(x, y, rcond=None)
-    return RadiusEstimate(radius=max(0.0, -float(beta[1])), entire=False,
-                          shells=int(np.sum(use)), slope=float(beta[1]),
-                          intercept=float(beta[0]))
+    return RadiusEstimate(radius=max(0.0, -float(beta[1])), entire=False)
 
 
-def _cumtrapz(y: np.ndarray, t: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(np.asarray(y, dtype=float))
-    out[1:] = np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(t))
+def accumulated(t, a) -> np.ndarray:
+    """A(t) = integral of a from the first sample, trapezoid rule."""
+    a = np.asarray(a, dtype=float)
+    out = np.zeros_like(a)
+    out[1:] = np.cumsum(0.5 * (a[1:] + a[:-1]) * np.diff(t))
     return out
 
 
-@dataclass
-class GevreyTracker:
-    """Append-only record of (t, a) samples along a trajectory.
-
-    a is sobolev_a of the solution at time t.  A(t), the cumulative
-    trapezoid integral of a, feeds the radius ODEs and the breakdown
-    criterion.  Samples must arrive with strictly increasing t.
-    """
-
-    tau0: float
-    k0: float
-    c_r: float = 1.0
-    max_gap: float = 0.1
-    _t: list = field(default_factory=list, repr=False)
-    _a: list = field(default_factory=list, repr=False)
-
-    def append(self, t: float, a: float) -> None:
-        if self._t and t <= self._t[-1]:
-            raise ValueError("samples must have strictly increasing t")
-        if not np.isfinite(a) or a < 0:
-            raise ValueError("a must be finite and non-negative")
-        self._t.append(float(t))
-        self._a.append(float(a))
-
-    @property
-    def t(self) -> np.ndarray:
-        return np.asarray(self._t)
-
-    @property
-    def a(self) -> np.ndarray:
-        return np.asarray(self._a)
-
-    def accumulated(self) -> np.ndarray:
-        """A(t) = integral of a from the first sample, trapezoid rule."""
-        if len(self._t) < 1:
-            raise ValueError("tracker is empty")
-        return _cumtrapz(self.a, self.t)
-
-    def _check_gaps(self):
-        t = self.t
-        if len(t) < 2:
-            raise SamplingError("need at least two samples")
-        gap = float(np.max(np.diff(t)))
-        if gap > self.max_gap * (1 + 1e-12):
-            raise SamplingError(
-                "sample gap %.3g exceeds max_gap %.3g" % (gap, self.max_gap)
-            )
-        return gap
+def _samples(t, a) -> tuple:
+    """(t, a) as float arrays: at least two samples, strictly increasing t,
+    and a (sobolev_a along the trajectory) finite and non-negative."""
+    t = np.asarray(t, dtype=float)
+    a = np.asarray(a, dtype=float)
+    if t.ndim != 1 or t.shape != a.shape:
+        raise ValueError("t and a must be 1-d arrays of one length")
+    if len(t) < 2:
+        raise SamplingError("need at least two samples")
+    if not np.all(np.diff(t) > 0):
+        raise ValueError("samples must have strictly increasing t")
+    if not np.all(np.isfinite(a)) or np.any(a < 0):
+        raise ValueError("a must be finite and non-negative")
+    return t, a
 
 
 def radius_ode_linear(tau0: float, k0: float, c_r: float,
@@ -272,17 +244,9 @@ def radius_ode_linear(tau0: float, k0: float, c_r: float,
     return tau, t_star
 
 
-@dataclass(frozen=True)
-class RefinedRadius:
-    """tau(t) from the refined radius ODE, with quadrature metadata."""
-
-    t: np.ndarray
-    tau: np.ndarray
-    max_step: float
-
-
-def radius_ode_refined(tracker: GevreyTracker) -> RefinedRadius:
-    """Integrate the refined radius ODE along recorded (t, a) samples.
+def radius_ode_refined(t, a, tau0: float, k0: float,
+                       c_r: float = 1.0) -> np.ndarray:
+    """tau at the samples (t, a) from the refined radius ODE.
 
     Solves  tau' = -3 c_r a(t) - 2 c_r k0 exp(-c_r A(t)) tau  exactly by
     the integrating factor B(t) = int_0^t exp(-c_r A) ds:
@@ -290,49 +254,28 @@ def radius_ode_refined(tracker: GevreyTracker) -> RefinedRadius:
         tau(t) = tau0 exp(-2 c_r k0 B(t))
                  - 3 c_r int_0^t a(s) exp(-2 c_r k0 (B(t) - B(s))) ds.
 
-    All integrals use the trapezoid rule on the recorded grid; the largest
-    step is reported in the result.  Gaps beyond tracker.max_gap raise
-    SamplingError.
+    All integrals use the trapezoid rule on the sample grid, so its
+    accuracy is the caller's choice of grid.
     """
-    gap = tracker._check_gaps()
-    t = tracker.t
-    a = tracker.a
-    c_r, k0, tau0 = tracker.c_r, tracker.k0, tracker.tau0
-    acc = _cumtrapz(a, t)
-    b = _cumtrapz(np.exp(-c_r * acc), t)
+    t, a = _samples(t, a)
+    b = accumulated(t, np.exp(-c_r * accumulated(t, a)))
     outer = np.exp(-2.0 * c_r * k0 * b)
     with np.errstate(over="raise"):
-        inner = _cumtrapz(a * np.exp(2.0 * c_r * k0 * b), t)
-    tau = outer * (tau0 - 3.0 * c_r * inner)
-    return RefinedRadius(t=t, tau=tau, max_step=gap)
+        inner = accumulated(t, a * np.exp(2.0 * c_r * k0 * b))
+    return outer * (tau0 - 3.0 * c_r * inner)
 
 
-def breakdown_criterion(tracker: GevreyTracker) -> bool:
+def breakdown_criterion(t, a, tau0: float, k0: float,
+                        c_r: float = 1.0) -> bool:
     """Continuation test on the accumulated quantity A.
 
     Returns True when  tau0 / c_r > A(T) * exp(c_r k0 int_0^T exp(-A) dt)
-    holds strictly at the last recorded sample T, i.e. the analytic
-    solution continues past T.  A identically zero gives True; a large
-    enough spike in a gives False.
+    holds strictly at the last sample T, i.e. the analytic solution
+    continues past T.  A identically zero gives True; a large enough spike
+    in a gives False.
     """
-    t = tracker.t
-    if len(t) < 2:
-        raise SamplingError("need at least two samples")
-    acc = tracker.accumulated()
-    integral = float(_cumtrapz(np.exp(-acc), t)[-1])
-    rhs = float(acc[-1]) * np.exp(tracker.c_r * tracker.k0 * integral)
-    return bool(tracker.tau0 / tracker.c_r > rhs)
-
-
-def tracker_to_csv(tracker: GevreyTracker, path, tau: np.ndarray) -> None:
-    """Dump the tracker as rows t,a,A,tau, with tau given on the recorded
-    grid (the refined radius ODE solution, say)."""
-    t = tracker.t
-    a = tracker.a
-    acc = tracker.accumulated()
-    if len(tau) != len(t):
-        raise ValueError("tau length does not match the recorded samples")
-    with open(path, "w") as fh:
-        fh.write("t,a,A,tau\n")
-        for row in zip(t, a, acc, tau):
-            fh.write("%.17g,%.17g,%.17g,%.17g\n" % row)
+    t, a = _samples(t, a)
+    acc = accumulated(t, a)
+    integral = float(accumulated(t, np.exp(-acc))[-1])
+    rhs = float(acc[-1]) * np.exp(c_r * k0 * integral)
+    return bool(tau0 / c_r > rhs)

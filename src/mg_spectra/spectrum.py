@@ -225,7 +225,6 @@ class UnstableMode:
     sigma: float
     bracket_lo: float
     bracket_hi: float
-    eta: np.ndarray          # eta_p, p = 2..P
     c_tilde: np.ndarray      # c_p, p = 1..P
     truncation_P: int
     residual: float
@@ -245,8 +244,8 @@ def _unstable_mode(mp: ModeParams, kappa: float, sigma: float, lo: float,
     with np.errstate(under="ignore"):
         c = sign * np.exp(log_c)
     return UnstableMode(params=mp, kappa=kappa, sigma=sigma, bracket_lo=lo,
-                        bracket_hi=hi, eta=eta, c_tilde=c,
-                        truncation_P=P, residual=residual)
+                        bracket_hi=hi, c_tilde=c, truncation_P=P,
+                        residual=residual)
 
 
 def solve_growth_rate(mp: ModeParams, P: int = 128) -> UnstableMode:

@@ -1,14 +1,13 @@
-import os
-
 import numpy as np
 import pytest
 
 from mg_spectra import fields
+from mg_spectra.evolution import steady_state_field
 from mg_spectra.fields import (
-    GevreyTracker,
     InsufficientShellsError,
     SamplingError,
     SpectralField,
+    accumulated,
     breakdown_criterion,
     gevrey_norm,
     radius_estimate,
@@ -103,6 +102,14 @@ def test_gevrey_norm_overflow():
         gevrey_norm(f, 20.0, 400.0)
 
 
+def test_gevrey_norm_empty_shell_overflow():
+    # the weight overflows on the empty corner shells of the n = 16 cube
+    # (|k| = 27.7 at r = 110) and on none of the band's; the norm is that
+    # of the band cube, populated only at |k| = 1
+    assert gevrey_norm(steady_state_field(16, 1.0, 1), 0.5, 110) \
+        == 1.165821990798562
+
+
 @pytest.mark.parametrize("tau", [0.1, 0.5, 2.0])
 def test_radius_estimate_exact_family(tau):
     n = 24
@@ -131,20 +138,19 @@ def test_radius_estimate_needs_shells():
 
 
 def test_tracker_append_validation():
-    tr = GevreyTracker(tau0=1.0, k0=1.0)
-    tr.append(0.0, 1.0)
-    with pytest.raises(ValueError):
-        tr.append(0.0, 1.0)  # not strictly increasing
-    tr.append(0.05, 1.1)
-    assert tr.accumulated()[-1] == pytest.approx(0.5 * 0.05 * 2.1)
-
-
-def test_tracker_gap_check():
-    tr = GevreyTracker(tau0=1.0, k0=1.0, max_gap=0.1)
-    tr.append(0.0, 1.0)
-    tr.append(1.0, 1.0)
+    t, a = [0.0, 0.05], [1.0, 1.1]
+    assert accumulated(t, a)[-1] == pytest.approx(0.5 * 0.05 * 2.1)
+    for bad_t, bad_a in (([0.0, 0.0], a),  # not strictly increasing
+                         (t, [1.0, -1.0]), (t, [1.0, np.inf]),
+                         ([0.0, 0.05, 0.1], a)):
+        with pytest.raises(ValueError):
+            radius_ode_refined(bad_t, bad_a, 1.0, 1.0)
+        with pytest.raises(ValueError):
+            breakdown_criterion(bad_t, bad_a, 1.0, 1.0)
     with pytest.raises(SamplingError):
-        radius_ode_refined(tr)
+        radius_ode_refined([0.0], [1.0], 1.0, 1.0)
+    with pytest.raises(SamplingError):
+        breakdown_criterion([0.0], [1.0], 1.0, 1.0)
 
 
 def test_radius_ode_linear_clamps():
@@ -157,40 +163,22 @@ def test_radius_ode_linear_clamps():
 
 
 def test_radius_ode_refined_closed_form():
-    tr = GevreyTracker(tau0=0.7, k0=2.0, c_r=1.0, max_gap=0.05)
-    for t in np.linspace(0.0, 1.0, 41):
-        tr.append(float(t), 0.0)
-    ref = radius_ode_refined(tr)
-    closed = 0.7 * np.exp(-4.0 * ref.t)
-    assert np.max(np.abs(ref.tau - closed)) <= 1e-12
+    t = np.linspace(0.0, 1.0, 41)
+    tau = radius_ode_refined(t, np.zeros(41), 0.7, 2.0, c_r=1.0)
+    closed = 0.7 * np.exp(-4.0 * t)
+    assert np.max(np.abs(tau - closed)) <= 1e-12
 
 
 def test_refined_floor_time():
-    tr = GevreyTracker(tau0=0.01, k0=1.0, c_r=1.0, max_gap=0.2)
-    for t in np.linspace(0.0, 4.0, 41):
-        tr.append(float(t), 1.0)  # strong forcing drives tau down fast
-    ref = radius_ode_refined(tr)
-    assert np.min(ref.tau) <= 1e-3
+    # strong forcing drives tau down fast
+    tau = radius_ode_refined(np.linspace(0.0, 4.0, 41), np.ones(41), 0.01,
+                             1.0, c_r=1.0)
+    assert np.min(tau) <= 1e-3
 
 
 def test_breakdown_criterion_split():
-    calm = GevreyTracker(tau0=0.7, k0=2.0, c_r=1.0, max_gap=0.05)
-    spike = GevreyTracker(tau0=0.1, k0=1.0, c_r=1.0, max_gap=0.05)
-    for t in np.linspace(0.0, 1.0, 41):
-        calm.append(float(t), 0.01)
-        spike.append(float(t), 0.0 if t < 0.5 else 50.0)
-    assert breakdown_criterion(calm) is True
-    assert breakdown_criterion(spike) is False
-
-
-def test_tracker_to_csv(tmp_path):
-    tr = GevreyTracker(tau0=0.7, k0=2.0, c_r=1.0, max_gap=0.05)
-    for t in np.linspace(0.0, 0.5, 21):
-        tr.append(float(t), 0.1)
-    path = os.path.join(tmp_path, "tr.csv")
-    tau = radius_ode_refined(tr).tau
-    fields.tracker_to_csv(tr, path, tau)
-    lines = open(path).read().strip().splitlines()
-    assert lines[0] == "t,a,A,tau"
-    assert len(lines) == 22
-    assert float(lines[-1].split(",")[3]) == tau[-1]
+    t = np.linspace(0.0, 1.0, 41)
+    calm = np.full(41, 0.01)
+    spike = np.where(t < 0.5, 0.0, 50.0)
+    assert breakdown_criterion(t, calm, 0.7, 2.0, c_r=1.0) is True
+    assert breakdown_criterion(t, spike, 0.1, 1.0, c_r=1.0) is False
