@@ -22,6 +22,7 @@ from .spectrum import (
     f_continued_fraction,
     solve_growth_rate,
     solve_growth_rate_diffusive,
+    solve_growth_rates,
     sweep_growth_rates,
     truncated_matrix_eigenvalue,
 )
@@ -46,8 +47,8 @@ __all__ = [
     "ModeParams", "PhysicalParams",
     "b_symbol", "m_symbol", "m_symbol_exact", "t_symbol",
     "UnstableMode", "alpha", "analytic_bracket", "f_continued_fraction",
-    "solve_growth_rate", "solve_growth_rate_diffusive", "sweep_growth_rates",
-    "truncated_matrix_eigenvalue",
+    "solve_growth_rate", "solve_growth_rate_diffusive", "solve_growth_rates",
+    "sweep_growth_rates", "truncated_matrix_eigenvalue",
     "SpectralField", "accumulated", "breakdown_criterion", "gevrey_norm",
     "radius_estimate", "radius_ode_linear", "radius_ode_refined",
     "evolve_full_slice", "measure_growth_rate", "nonlinear_steps",

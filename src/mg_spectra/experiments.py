@@ -19,12 +19,14 @@ import itertools
 import json
 import math
 import os
+import platform
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 
 from . import evolution, fields, spectrum, symbols
 from .params import ModeParams, PhysicalParams
@@ -307,23 +309,27 @@ def _final_field(steps, n: int) -> fields.SpectralField:
 # runners
 
 
+def _root_counters(kappa, solved):
+    """One solve_growth_rates batch: its modes, and those with a root."""
+    return {"kappa": kappa, "modes": len(solved),
+            "roots": sum(mode is not None for mode in solved)}
+
+
 def _run_sigma_table(params, tols, out_dir, threads):
     omega, mu = params["omega"], params["mu"]
     combos = sorted(itertools.product(params["values"], repeat=4))
-
-    def work(combo):
-        a, m, k1, k2 = combo
-        mp = _mode(a, m, k1, k2, omega, mu)
-        mode = spectrum.solve_growth_rate(mp)
+    mps = [_mode(*combo, omega, mu) for combo in combos]
+    solved = spectrum.solve_growth_rates(mps)
+    rows = []
+    for (a, m, k1, k2), mp, mode in zip(combos, mps, solved):
         a1 = spectrum.alpha(1, mp)
-        return {"a": a, "m": m, "k1": k1, "k2": k2,
-                "alpha1": a1, "alpha2": spectrum.alpha(2, mp),
-                "bracket_lo": mode.bracket_lo, "sigma": mode.sigma,
-                "bracket_hi": mode.bracket_hi, "residual": mode.residual,
-                "inside": mode.bracket_lo < mode.sigma < mode.bracket_hi,
-                "residual_ok": mode.residual <= tols["residual_scale"] * a1}
-
-    rows = _parallel_map(work, combos, threads)
+        rows.append({
+            "a": a, "m": m, "k1": k1, "k2": k2,
+            "alpha1": a1, "alpha2": spectrum.alpha(2, mp),
+            "bracket_lo": mode.bracket_lo, "sigma": mode.sigma,
+            "bracket_hi": mode.bracket_hi, "residual": mode.residual,
+            "inside": mode.bracket_lo < mode.sigma < mode.bracket_hi,
+            "residual_ok": mode.residual <= tols["residual_scale"] * a1})
     checks = [
         _check("all_inside_bracket", all(r["inside"] for r in rows),
                sum(r["inside"] for r in rows), len(rows)),
@@ -333,34 +339,36 @@ def _run_sigma_table(params, tols, out_dir, threads):
     ]
     columns = ["a", "m", "k1", "k2", "alpha1", "alpha2", "bracket_lo",
                "sigma", "bracket_hi", "residual", "inside", "residual_ok"]
-    return ExperimentResult(columns, rows, checks)
+    return ExperimentResult(columns, rows, checks,
+                            counters={"roots": [_root_counters(0.0, solved)]})
 
 
 def _run_oracle_xcheck(params, tols, out_dir, threads):
     omega, mu = params["omega"], params["mu"]
     big_p = params["P"]
-    jobs = sorted(itertools.product(params["values"], repeat=4))
-    jobs = [(c, kap) for c in jobs for kap in params["kappas"]]
-
-    def work(job):
-        (a, m, k1, k2), kap = job
-        mp = _mode(a, m, k1, k2, omega, mu)
-        if kap == 0.0:
-            mode = spectrum.solve_growth_rate(mp, P=big_p)
-        else:
-            mode = spectrum.solve_growth_rate_diffusive(mp, kap, P=big_p)
-        lam = spectrum.truncated_matrix_eigenvalue(mp, kappa=kap, P=big_p)
-        if mode is None:
-            return {"a": a, "m": m, "k1": k1, "k2": k2, "kappa": kap,
-                    "root": False, "sigma_cf": float("nan"),
-                    "lambda_matrix": lam, "rel_diff": float("nan"),
-                    "ok": lam <= tols["absent_eig"]}
-        rel = abs(mode.sigma - lam) / mode.sigma
-        return {"a": a, "m": m, "k1": k1, "k2": k2, "kappa": kap,
-                "root": True, "sigma_cf": mode.sigma, "lambda_matrix": lam,
-                "rel_diff": rel, "ok": rel <= tols["rel_diff"]}
-
-    rows = _parallel_map(work, jobs, threads)
+    kappas = params["kappas"]
+    combos = sorted(itertools.product(params["values"], repeat=4))
+    mps = [_mode(*combo, omega, mu) for combo in combos]
+    solved = [spectrum.solve_growth_rates(mps, kap, P=big_p)
+              for kap in kappas]
+    jobs = [(mp, kap) for mp in mps for kap in kappas]
+    lams = _parallel_map(
+        lambda job: spectrum.truncated_matrix_eigenvalue(
+            job[0], kappa=job[1], P=big_p), jobs, threads)
+    rows = []
+    for i, (a, m, k1, k2) in enumerate(combos):
+        for j, kap in enumerate(kappas):
+            mode, lam = solved[j][i], lams[i * len(kappas) + j]
+            row = {"a": a, "m": m, "k1": k1, "k2": k2, "kappa": kap}
+            if mode is None:
+                row.update(root=False, sigma_cf=float("nan"),
+                           lambda_matrix=lam, rel_diff=float("nan"),
+                           ok=lam <= tols["absent_eig"])
+            else:
+                rel = abs(mode.sigma - lam) / mode.sigma
+                row.update(root=True, sigma_cf=mode.sigma, lambda_matrix=lam,
+                           rel_diff=rel, ok=rel <= tols["rel_diff"])
+            rows.append(row)
     with_root = [r for r in rows if r["root"]]
     without = [r for r in rows if not r["root"]]
     checks = [
@@ -373,7 +381,8 @@ def _run_oracle_xcheck(params, tols, out_dir, threads):
     ]
     columns = ["a", "m", "k1", "k2", "kappa", "root", "sigma_cf",
                "lambda_matrix", "rel_diff", "ok"]
-    return ExperimentResult(columns, rows, checks)
+    return ExperimentResult(columns, rows, checks, counters={
+        "roots": [_root_counters(kap, s) for kap, s in zip(kappas, solved)]})
 
 
 def _run_slice_growth(params, tols, out_dir, threads):
@@ -424,16 +433,14 @@ def _run_illposed_scaling(params, tols, out_dir, threads):
     a, m = params["a"], params["m"]
     phys = PhysicalParams.from_mu(omega=omega, mu=mu)
     const = spectrum.growth_bound_constant(a, m, phys)
-
-    def work(j):
-        k2 = _square_root("params.j_list", j)
-        mp = _mode(a, m, j, k2, omega, mu)
-        mode = spectrum.solve_growth_rate(mp)
-        return {"j": j, "k1": j, "k2": k2, "sigma": mode.sigma,
-                "bound": j * const, "ratio": mode.sigma / (j * const),
-                "above_bound": mode.sigma > j * const}
-
-    rows = _parallel_map(work, sorted(params["j_list"]), threads)
+    js = sorted(params["j_list"])
+    k2s = [_square_root("params.j_list", j) for j in js]
+    solved = spectrum.solve_growth_rates(
+        [_mode(a, m, j, k2, omega, mu) for j, k2 in zip(js, k2s)])
+    rows = [{"j": j, "k1": j, "k2": k2, "sigma": mode.sigma,
+             "bound": j * const, "ratio": mode.sigma / (j * const),
+             "above_bound": mode.sigma > j * const}
+            for j, k2, mode in zip(js, k2s, solved)]
     sigmas = [r["sigma"] for r in rows]
     increasing = all(b > a_ for a_, b in zip(sigmas, sigmas[1:]))
     checks = [
@@ -444,7 +451,8 @@ def _run_illposed_scaling(params, tols, out_dir, threads):
                    default=0.0), 0.0),
     ]
     columns = ["j", "k1", "k2", "sigma", "bound", "ratio", "above_bound"]
-    return ExperimentResult(columns, rows, checks)
+    return ExperimentResult(columns, rows, checks,
+                            counters={"roots": [_root_counters(0.0, solved)]})
 
 
 def _sweep_counters(sweep, kappa):
@@ -628,6 +636,15 @@ def _run_gevrey_breakdown(params, tols, out_dir, threads):
         raise ExperimentError("params.tau_field: %s" % exc)
     except fields.GevreyOverflowError as exc:
         raise ExperimentError("params.r: %s" % exc)
+    # the refined ODE residual is absolute: rounding tau to its ulp leaves
+    # about 2^-52 tau0 (1/dt + 2 K0) in it, which the check cannot resolve
+    floor = 2.0 ** -52 * tau0 * (1.0 / params["dt"] + 2.0 * k0)
+    if floor > tols["ode_residual"]:
+        raise ExperimentError(
+            "params.dt, params.r: the refined ODE residual has a rounding "
+            "floor 2^-52 tau0 (1/dt + 2 K0) = %.3g above its tolerance %g "
+            "(dt = %g, K0 = %.3g at r = %g)"
+            % (floor, tols["ode_residual"], params["dt"], k0, params["r"]))
     try:
         steps = evolution.nonlinear_steps(theta0, 0.0, None, params["dt"],
                                           params["t_end"], window=(tau0, k0))
@@ -910,6 +927,14 @@ def run_experiment(name: str, config: dict = None, out_dir: str = ".",
         "params": params,
         "tolerances": tols,
         "wall_time_s": round(elapsed, 3),
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "threads": threads,
+            "cpu_count": os.cpu_count(),
+            "affinity": len(os.sched_getaffinity(0)),
+        },
     }
     if result.counters is not None:
         summary["counters"] = result.counters

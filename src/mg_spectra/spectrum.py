@@ -25,12 +25,15 @@ denominators x_q - F_{q+1} of the backward recurrence are its pivots at
 shift sigma, each scaled by alpha_q > 0.  So sigma lies below the top
 eigenvalue exactly when some denominator is negative: a Sturm count
 (Barth, Martin and Wilkinson 1967) in continued-fraction form (Gautschi
-1967, SIAM Rev. 9).  Every root here, scalar or swept over a (k1, k2) box,
-with or without diffusion, is found by one bisection on that test, and
-the test and the eigenvector come from one recurrence kernel.  A sweep
-over a (k1, k2) box tests every pair at sigma = 0 and bisects only the
-pairs with a root.  Dense LAPACK on the truncated symmetric matrix serves
-as an independent oracle.
+1967, SIAM Rev. 9).  Every root here is found by bisection on that test,
+and the test and the eigenvector come from one recurrence kernel.  The
+scalar solvers bisect one mode at a time.  A list of modes
+(solve_growth_rates) and a (k1, k2) box (sweep_growth_rates) go through
+one batched bisection, with one column of alpha per slice.  With
+diffusion it tests every slice at sigma = 0 and bisects only the slices
+with a root.  Each slice's root is elementwise work, so the batch gives
+the scalar solvers' roots bit for bit.  Dense LAPACK on the truncated
+symmetric matrix serves as an independent oracle.
 """
 
 from __future__ import annotations
@@ -65,10 +68,10 @@ class PoleError(ArithmeticError):
 class BracketError(RuntimeError):
     """The characteristic function failed to change sign on the bracket."""
 
-    def __init__(self, h_lo, h_hi):
+    def __init__(self, h_lo, h_hi, where=""):
         super().__init__(
-            "no sign change on the analytic bracket: h(lo) = %r, h(hi) = %r"
-            % (h_lo, h_hi)
+            "no sign change on the analytic bracket%s: h(lo) = %r, h(hi) = %r"
+            % (where, h_lo, h_hi)
         )
         self.h_lo = h_lo
         self.h_hi = h_hi
@@ -126,11 +129,13 @@ def _recurrence(sigma, al, q0, kappa, ksq, m, keep=0):
 
     Returns (h, f): h = x_q0 - F_{q0+1}, NaN where a denominator at some
     level q0 + 1 .. top - 1 is <= 0 (a pole); f[q] = F_q for
-    q0 < q <= keep, or None when keep is 0.
+    q0 < q <= keep, one row of sigma's batch shape per level, or None
+    when keep is 0.
     """
     top = q0 + len(al) - 1
     pole = False
-    f = np.zeros(keep + 1) if keep else None
+    f = np.zeros((keep + 1,) + np.broadcast(sigma, al[0]).shape) \
+        if keep else None
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         x = (sigma + kappa * (ksq + (m * top) ** 2)) * al[-1]
         t = np.where(x >= 2.0,
@@ -164,6 +169,36 @@ def _bisect(below, lo, hi):
         lo = np.where(go_lo, mid, lo)
         hi = np.where(go_lo, hi, mid)
     return 0.5 * (lo + hi)
+
+
+def _bisect_slices(al, kappa, ksq, m):
+    """The top root of every slice of a batch, by one bisection.
+
+    Column j of al holds alpha_q of slice j for q = 1.._DEPTH + 2, ksq
+    one entry per slice, and m one entry or one per slice.  With kappa = 0
+    every slice is bisected on its analytic bracket.  With kappa > 0 only
+    the slices where sigma = 0 lies below the top eigenvalue have a root:
+    they are compressed and bisected as one batch on (0, bracket top], as
+    diffusion only lowers the spectrum.  Returns (root, sigma): the mask
+    of the slices with a root, and their roots in order.
+    """
+    if kappa > 0.0:
+        root = _below(_recurrence(np.zeros(ksq.shape), al, 1, kappa, ksq,
+                                  m)[0])
+        # compress, not al[:, root]: the recurrence runs on C-contiguous rows
+        al = np.compress(root, al, axis=1)
+        ksq = ksq[root]
+        m = m[root] if np.ndim(m) else m
+    else:
+        root = np.ones(ksq.shape, dtype=bool)
+    lo, hi = _bracket(al[0], al[1])
+    if kappa > 0.0:
+        lo = np.zeros(ksq.shape)
+
+    def below(sigma):
+        return _below(_recurrence(sigma, al, 1, kappa, ksq, m)[0])
+
+    return root, _bisect(below, lo, hi)
 
 
 def f_continued_fraction(p: int, sigma: float, mp: ModeParams,
@@ -203,11 +238,13 @@ def _root(mp: ModeParams, kappa: float, lo: float, hi: float):
     return sigma, abs(h) if np.isfinite(h) else float("inf")
 
 
+def _bracket(a1, a2):
+    return 1.0 / np.sqrt(a1 * a2), 1.0 / np.sqrt(a1 * a2 - a1 * a1)
+
+
 def analytic_bracket(mp: ModeParams) -> tuple:
     """(1/sqrt(a1 a2), 1/sqrt(a1 a2 - a1^2)): guaranteed to straddle sigma*."""
-    a1 = alpha(1, mp)
-    a2 = alpha(2, mp)
-    return 1.0 / np.sqrt(a1 * a2), 1.0 / np.sqrt(a1 * a2 - a1 * a1)
+    return _bracket(alpha(1, mp), alpha(2, mp))
 
 
 @dataclass(frozen=True)
@@ -236,16 +273,20 @@ def _unstable_mode(mp: ModeParams, kappa: float, sigma: float, lo: float,
     h, f_levels = _recurrence(sigma, al, 1, kappa, mp.ksq, mp.m, keep=P)
     if np.isnan(h):
         raise PoleError(2, sigma)
-    eta = -f_levels[2:]
-    ps = np.arange(1, P + 1)
+    return UnstableMode(params=mp, kappa=kappa, sigma=sigma, bracket_lo=lo,
+                        bracket_hi=hi, c_tilde=_c_tilde(al[:P], f_levels),
+                        truncation_P=P, residual=residual)
+
+
+def _c_tilde(al, f):
+    """c_p for p = 1..P from alpha_p (al) and F_p(sigma*) (f[p], p >= 2)."""
+    eta = -f[2:]
+    ps = np.arange(1, len(al) + 1)
     log_eta_csum = np.concatenate([[0.0], np.cumsum(np.log(np.abs(eta)))])
-    log_c = np.log(al[:P]) + log_eta_csum
+    log_c = np.log(al) + log_eta_csum
     sign = np.where(ps % 2 == 1, 1.0, -1.0)
     with np.errstate(under="ignore"):
-        c = sign * np.exp(log_c)
-    return UnstableMode(params=mp, kappa=kappa, sigma=sigma, bracket_lo=lo,
-                        bracket_hi=hi, c_tilde=c, truncation_P=P,
-                        residual=residual)
+        return sign * np.exp(log_c)
 
 
 def solve_growth_rate(mp: ModeParams, P: int = 128) -> UnstableMode:
@@ -282,6 +323,72 @@ def solve_growth_rate_diffusive(mp: ModeParams, kappa: float, P: int = 128):
     _, hi = analytic_bracket(mp)
     sigma, residual = _root(mp, kappa, 0.0, hi)
     return _unstable_mode(mp, kappa, sigma, 0.0, hi, residual, P)
+
+
+def _label(mp: ModeParams) -> str:
+    return "mode (a, m, k1, k2) = (%g, %d, %d, %d)" % (mp.a, mp.m, mp.k1,
+                                                       mp.k2)
+
+
+def solve_growth_rates(modes, kappa: float = 0.0, P: int = 128) -> list:
+    """solve_growth_rate (kappa = 0) or solve_growth_rate_diffusive
+    (kappa > 0) for a list of modes, as one batch.
+
+    Returns one UnstableMode per mode, or None where diffusion kills every
+    unstable mode, bit for bit the scalar solver's.  alpha is one
+    (levels x modes) array, every root comes from one batched bisection,
+    and the eigenvectors from one recurrence.  With kappa = 0 each mode's
+    analytic bracket and residual are checked as in solve_growth_rate; a
+    failure raises BracketError or ConvergenceError naming the mode.
+    """
+    if kappa < 0:
+        raise ValueError("kappa must be >= 0")
+    if P < 2:
+        raise ValueError("P must be >= 2")
+    modes = list(modes)
+    if not modes:
+        return []
+    a, m, k2, ksq, omega, mu = (np.array(v) for v in zip(*[
+        (mp.a, mp.m, mp.k2, mp.ksq, mp.phys.omega, mp.phys.mu)
+        for mp in modes]))
+    al = _alpha(np.arange(1, P + _DEPTH + 1)[:, None], a, m, k2, ksq, omega,
+                mu)
+    lo, hi = _bracket(al[0], al[1])
+    if kappa == 0.0:
+        h_lo = _recurrence(lo, al[:_DEPTH + 2], 1, 0.0, ksq, m)[0]
+        h_hi = _recurrence(hi, al[:_DEPTH + 2], 1, 0.0, ksq, m)[0]
+        for i in np.flatnonzero(~(_below(h_lo) & (h_hi > 0.0))):
+            raise BracketError(float(h_lo[i]), float(h_hi[i]),
+                               " of " + _label(modes[i]))
+    else:
+        lo = np.zeros(len(modes))
+    root, sigma = _bisect_slices(al[:_DEPTH + 2], kappa, ksq, m)
+
+    idx = np.flatnonzero(root)
+    al = np.compress(root, al, axis=1)
+    ksq, m = ksq[root], m[root]
+    h = _recurrence(sigma, al[:_DEPTH + 2], 1, kappa, ksq, m)[0]
+    residual = np.where(np.isfinite(h), np.abs(h), np.inf)
+    if kappa == 0.0:
+        for i in np.flatnonzero(~(residual <= 1e-12 * al[0])):
+            raise ConvergenceError(
+                "bisection residual %g of %s exceeds tolerance"
+                % (residual[i], _label(modes[idx[i]])), float(sigma[i]))
+    h, f = _recurrence(sigma, al, 1, kappa, ksq, m, keep=P)
+    for j in np.flatnonzero(np.isnan(h)):
+        raise PoleError(2, float(sigma[j]))
+    # one contiguous row per mode, as in the scalar solver, so that the
+    # vectorized log and exp round each entry the same way
+    al_rows = np.ascontiguousarray(al[:P].T)
+    f_rows = np.ascontiguousarray(f.T)
+    out = [None] * len(modes)
+    for j, i in enumerate(idx):
+        out[i] = UnstableMode(
+            params=modes[i], kappa=kappa, sigma=float(sigma[j]),
+            bracket_lo=float(lo[i]), bracket_hi=float(hi[i]),
+            c_tilde=_c_tilde(al_rows[j], f_rows[j]), truncation_P=P,
+            residual=float(residual[j]))
+    return out
 
 
 def truncated_matrix_eigenvalue(mp: ModeParams, kappa: float = 0.0,
@@ -347,7 +454,7 @@ def sweep_growth_rates(kappa: float, a: float, m: int, phys: PhysicalParams,
     [1, k1_max] x [1, k2_max].
 
     Returns (k1_grid, k2_grid, sigma) with NaN where no positive root
-    exists.  Same test and bisection as the scalar solver: every pair is
+    exists.  The batched bisection of solve_growth_rates: every pair is
     tested at sigma = 0, and only the pairs with a root are bisected, as
     one batch.  Each pair's root is elementwise work, so it does not
     depend on the batch it was bisected in.
@@ -359,15 +466,7 @@ def sweep_growth_rates(kappa: float, a: float, m: int, phys: PhysicalParams,
     ksq = k1 * k1 + k2 * k2
     q = np.arange(1, _DEPTH + 3)[:, None]
     al = _alpha(q, a, m, k2, ksq, phys.omega, phys.mu)
-    root = _below(_recurrence(np.zeros(ksq.shape), al, 1, kappa, ksq, m)[0])
-    # compress, not al[:, root]: the recurrence runs on C-contiguous rows
-    al = np.compress(root, al, axis=1)
-    ksq = ksq[root]
-
-    def below(sigma):
-        return _below(_recurrence(sigma, al, 1, kappa, ksq, m)[0])
-
-    hi = 1.0 / np.sqrt(al[0] * al[1] - al[0] * al[0])
+    root, roots = _bisect_slices(al, kappa, ksq, m)
     sigma = np.full(root.shape, np.nan)
-    sigma[root] = _bisect(below, np.zeros(ksq.shape), hi)
+    sigma[root] = roots
     return k1g, k2g, sigma.reshape(k1g.shape)

@@ -197,6 +197,39 @@ def test_sweep_counters_in_summary(tmp_path):
                 for b in seen[0]["sweep"]] == boxes
 
 
+def test_root_counters_in_summary(tmp_path):
+    # each solve_growth_rates batch counts its modes and the modes with a
+    # root; the counts are the same at one and two threads and stay out
+    # of results.csv
+    cases = (("sigma-table", [(0.0, 81, 81)]),
+             ("oracle-xcheck", [(0.0, 81, 81), (1e-3, 81, 62)]),
+             ("illposed-scaling", [(0.0, 8, 8)]))
+    for name, batches in cases:
+        seen = []
+        for threads in (1, 2):
+            out = str(tmp_path / name / str(threads))
+            experiments.run_experiment(name, {}, out, threads)
+            with open(os.path.join(out, "summary.json")) as fh:
+                seen.append(json.load(fh)["counters"])
+            with open(os.path.join(out, "results.csv")) as fh:
+                assert "roots" not in fh.readline()
+        assert seen[0] == seen[1]
+        assert [(b["kappa"], b["modes"], b["roots"])
+                for b in seen[0]["roots"]] == batches
+
+
+def test_summary_environment(tmp_path):
+    experiments.run_experiment("sigma-table", {"params": {"values": [1]}},
+                               str(tmp_path), 2)
+    with open(tmp_path / "summary.json") as fh:
+        env = json.load(fh)["environment"]
+    assert set(env) == {"python", "numpy", "scipy", "threads", "cpu_count",
+                        "affinity"}
+    assert env["numpy"] == np.__version__
+    assert env["threads"] == 2
+    assert env["affinity"] == len(os.sched_getaffinity(0))
+
+
 def test_oracle_xcheck_without_any_root(tmp_path):
     # kappa = 10 kills the unit mode: nothing to match, and the dense
     # top eigenvalue is negative
@@ -285,6 +318,11 @@ def test_cli_bad_list_entry_is_a_usage_error(tmp_path, capsys):
      "params.tau_field: estimated analyticity radius"),
     # |k|^{2r} overflows on the band: no Gevrey norm, no window
     ("gevrey-breakdown", {"r": 200}, "params.r: Gevrey weight overflowed"),
+    # K0 is about 1e134 at r = 110, so tau moves by less than its ulp in
+    # one step: rounding alone puts the refined ODE residual far above
+    # its tolerance
+    ("gevrey-breakdown", {"r": 110, "dt": 1e-200, "t_end": 1e-200},
+     "params.dt, params.r: the refined ODE residual has a rounding floor"),
 ])
 def test_cli_range_faults_are_usage_errors(tmp_path, capsys, name, params,
                                            fragment):
@@ -382,6 +420,25 @@ def test_sweep_results_frozen(tmp_path, name):
     assert res.passed
     data = (tmp_path / "results.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == SWEEP_RESULTS_SHA256[name]
+
+
+# sha256 of the default `sigma-table` and `oracle-xcheck` results.csv: the
+# 81 roots {1, 2, 4}^4 with their brackets and residuals, and the 162
+# (mode, kappa) roots against the dense oracle, at 17 digits
+ROOT_TABLE_RESULTS_SHA256 = {
+    "sigma-table":
+        "fa6204f8f40dd690d0287ef32632bab7de91da6f55a969016113f0673719cb7e",
+    "oracle-xcheck":
+        "4b7ee557339076e58c3b91dd4062cef600c6d3ed2508159e0e282d65cad9ff1b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROOT_TABLE_RESULTS_SHA256))
+def test_root_table_results_frozen(tmp_path, name):
+    res = experiments.run_experiment(name, {}, str(tmp_path), 1)
+    assert res.passed
+    data = (tmp_path / "results.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == ROOT_TABLE_RESULTS_SHA256[name]
 
 
 def test_cli_plot_data_unmapped(tmp_path, capsys):

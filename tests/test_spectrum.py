@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -326,3 +327,70 @@ def test_cached_levels_are_read_only():
     with pytest.raises(ValueError):
         al[0] = 0.0
     assert not spectrum._levels(mp, 1, 1).flags.writeable
+
+
+def _scalar_solve(mp, kappa, P=128):
+    if kappa == 0.0:
+        return spectrum.solve_growth_rate(mp, P=P)
+    return spectrum.solve_growth_rate_diffusive(mp, kappa, P=P)
+
+
+def _assert_same_modes(batch, ref):
+    assert len(batch) == len(ref)
+    for got, want in zip(batch, ref):
+        if want is None:
+            assert got is None
+            continue
+        assert got.params == want.params
+        assert (got.kappa, got.sigma, got.bracket_lo, got.bracket_hi,
+                got.residual, got.truncation_P) == \
+            (want.kappa, want.sigma, want.bracket_lo, want.bracket_hi,
+             want.residual, want.truncation_P)
+        assert np.array_equal(got.c_tilde, want.c_tilde)
+
+
+@pytest.mark.parametrize("kappa,rootless", [(0.0, 0), (1e-3, 19)])
+def test_batch_equals_scalar_solvers(kappa, rootless):
+    # the sigma-table and oracle-xcheck modes {1, 2, 4}^4, bit for bit
+    modes = [_mode(*key) for key in itertools.product((1, 2, 4), repeat=4)]
+    batch = spectrum.solve_growth_rates(modes, kappa)
+    _assert_same_modes(batch, [_scalar_solve(mp, kappa) for mp in modes])
+    assert sum(mode is None for mode in batch) == rootless
+
+
+@settings(max_examples=40, deadline=None)
+@given(keys=st.lists(st.tuples(st.floats(0.25, 4.0), st.integers(1, 4),
+                               st.integers(1, 8), st.integers(1, 8)),
+                     min_size=1, max_size=5),
+       kappa=st.sampled_from([0.0, 1e-3, 1e-2, 0.1]),
+       P=st.integers(8, 40))
+def test_batch_equals_scalar_on_mixed_modes(keys, kappa, P):
+    # the batch does elementwise work on each column of alpha, so a mode's
+    # root and eigenvector do not depend on the modes batched with it
+    modes = [_mode(*key) for key in keys]
+    _assert_same_modes(spectrum.solve_growth_rates(modes, kappa, P=P),
+                       [_scalar_solve(mp, kappa, P) for mp in modes])
+
+
+def test_batch_arguments():
+    assert spectrum.solve_growth_rates([], 1e-3) == []
+    with pytest.raises(ValueError):
+        spectrum.solve_growth_rates([UNIT], -1e-3)
+    with pytest.raises(ValueError):
+        spectrum.solve_growth_rates([UNIT], P=1)
+
+
+def test_batch_failures_name_the_mode(monkeypatch):
+    modes = [UNIT, _mode(2, 1, 3, 2)]
+    # a bracket turned upside down has no sign change
+    monkeypatch.setattr(spectrum, "_bracket", lambda a1, a2: (
+        1.0 / np.sqrt(a1 * a2 - a1 * a1), 1.0 / np.sqrt(a1 * a2)))
+    with pytest.raises(spectrum.BracketError,
+                       match=r"of mode \(a, m, k1, k2\) = \(1, 1, 1, 1\)"):
+        spectrum.solve_growth_rates(modes)
+    monkeypatch.undo()
+    # one bisection step leaves a residual far above 1e-12 alpha_1
+    monkeypatch.setattr(spectrum, "_MAX_BISECT", 1)
+    with pytest.raises(spectrum.ConvergenceError,
+                       match=r"of mode \(a, m, k1, k2\) = \(1, 1, 1, 1\)"):
+        spectrum.solve_growth_rates(modes)
