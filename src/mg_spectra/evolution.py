@@ -33,7 +33,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
+import scipy
 
 from .fields import (SpectralField, gevrey_norm, l2_norm, radius_estimate,
                      wavenumber_norms)
@@ -336,6 +336,7 @@ class NonlinearSolver:
 
     def __init__(self, n: int, phys: PhysicalParams = None, kappa: float = 0.0,
                  source: SpectralField = None, workers: int = 1):
+        import scipy.fft  # loaded by the first solver, not at import
         if phys is None:
             phys = PhysicalParams()
         self.cut = cut = dealias_cut(n)

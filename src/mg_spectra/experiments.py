@@ -246,6 +246,7 @@ class ExperimentResult:
     rows: list
     checks: list
     counters: dict = None
+    solver: dict = None
 
     @property
     def passed(self) -> bool:
@@ -351,10 +352,8 @@ def _run_oracle_xcheck(params, tols, out_dir, threads):
     mps = [_mode(*combo, omega, mu) for combo in combos]
     solved = [spectrum.solve_growth_rates(mps, kap, P=big_p)
               for kap in kappas]
-    jobs = [(mp, kap) for mp in mps for kap in kappas]
-    lams = _parallel_map(
-        lambda job: spectrum.truncated_matrix_eigenvalue(
-            job[0], kappa=job[1], P=big_p), jobs, threads)
+    lams = [spectrum.truncated_matrix_eigenvalue(mp, kappa=kap, P=big_p)
+            for mp in mps for kap in kappas]
     rows = []
     for i, (a, m, k1, k2) in enumerate(combos):
         for j, kap in enumerate(kappas):
@@ -382,7 +381,9 @@ def _run_oracle_xcheck(params, tols, out_dir, threads):
     columns = ["a", "m", "k1", "k2", "kappa", "root", "sigma_cf",
                "lambda_matrix", "rel_diff", "ok"]
     return ExperimentResult(columns, rows, checks, counters={
-        "roots": [_root_counters(kap, s) for kap, s in zip(kappas, solved)]})
+        "roots": [_root_counters(kap, s) for kap, s in zip(kappas, solved)]},
+        solver={"lapack": "d" + spectrum._ORACLE_DRIVER, "P": big_p,
+                "depth": spectrum._DEPTH})
 
 
 def _run_slice_growth(params, tols, out_dir, threads):
@@ -936,8 +937,9 @@ def run_experiment(name: str, config: dict = None, out_dir: str = ".",
             "affinity": len(os.sched_getaffinity(0)),
         },
     }
-    if result.counters is not None:
-        summary["counters"] = result.counters
+    for key in ("counters", "solver"):
+        if getattr(result, key) is not None:
+            summary[key] = getattr(result, key)
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True,
                   default=_json_default)

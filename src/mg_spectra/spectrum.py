@@ -32,13 +32,16 @@ scalar solvers bisect one mode at a time.  A list of modes
 one batched bisection, with one column of alpha per slice.  With
 diffusion it tests every slice at sigma = 0 and bisects only the slices
 with a root.  Each slice's root is elementwise work, so the batch gives
-the scalar solvers' roots bit for bit.  Dense LAPACK on the truncated
-symmetric matrix serves as an independent oracle.
+the scalar solvers' roots bit for bit; the scalar continued fraction runs
+the same recurrence on Python floats, which round as float64 does.
+LAPACK's tridiagonal ?stevd on the truncated symmetric matrix serves as
+an independent oracle.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +50,7 @@ from .params import ModeParams, PhysicalParams
 
 _DEPTH = 64         # recurrence levels below the closed-form tail
 _MAX_BISECT = 200   # guard: an interval with a NaN end never stops shrinking
+_ORACLE_DRIVER = "stevd"  # scipy's default for all eigenvalues
 
 
 class PoleError(ArithmeticError):
@@ -205,20 +209,25 @@ def f_continued_fraction(p: int, sigma: float, mp: ModeParams,
                          depth: int = _DEPTH, kappa: float = 0.0) -> float:
     """Continued fraction F_p(sigma) = 1/(sigma alpha_p - F_{p+1}(sigma)).
 
-    Evaluated by backward recurrence from level p + depth, seeding the tail
-    with the closed form G when its branch condition holds and 0 otherwise.
-    kappa > 0 applies the diffusive shift at every level.  Raises
-    PoleError when a denominator at level p or above is <= 0.
+    _recurrence on Python floats, bit for bit: backward from level
+    p + depth, its tail seeded with the closed form G (0 below the branch
+    point), every level shifted by kappa > 0.  Raises PoleError when a
+    denominator at level p or above is <= 0.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
     if depth < 4:
         raise ValueError("depth must be >= 4")
-    h, _ = _recurrence(sigma, _levels(mp, p, p + depth), p, kappa, mp.ksq,
-                       mp.m)
-    if not h > 0.0:
-        raise PoleError(p, sigma)
-    return float(1.0 / h)
+    sigma, kappa, ksq, m = float(sigma), float(kappa), mp.ksq, mp.m
+    al = _levels(mp, p, p + depth).tolist()
+    x = (sigma + kappa * (ksq + (m * (p + depth)) ** 2)) * al[-1]
+    t = 2.0 / (x + math.sqrt(x * x - 4.0)) if x >= 2.0 else 0.0
+    for q in range(p + depth - 1, p - 1, -1):
+        den = (sigma + kappa * (ksq + (m * q) ** 2)) * al[q - p] - t
+        if not den > 0.0:   # a pole, or NaN: checked before dividing
+            raise PoleError(p, sigma)
+        t = 1.0 / den
+    return t
 
 
 def _char(sigma: float, mp: ModeParams, kappa: float) -> float:
@@ -398,18 +407,20 @@ def truncated_matrix_eigenvalue(mp: ModeParams, kappa: float = 0.0,
     Independent oracle for the continued-fraction root.  The matrix is
     similar to the symmetric tridiagonal one with off-diagonal
     1/sqrt(alpha_p alpha_{p+1}) and diagonal -kappa (k1^2 + k2^2 + m^2 p^2)
-    (scale row p by 1/sqrt(alpha_p), flip alternate signs), whose spectrum
-    dense LAPACK (numpy.linalg.eigvalsh) computes with no recurrence shared
-    with the continued fraction.
+    (scale row p by 1/sqrt(alpha_p), flip alternate signs).  LAPACK's
+    tridiagonal ?stevd computes its spectrum from the two bands with no
+    recurrence shared with the continued fraction, bit for bit the dense
+    numpy.linalg.eigvalsh value on the oracle-xcheck modes.
     """
+    import scipy.linalg   # only the oracle needs it; not paid at import
     if P < 8:
         raise ValueError("P must be >= 8")
     ps = np.arange(1, P + 1)
     al = alpha(ps, mp)
     off = 1.0 / np.sqrt(al[:-1] * al[1:])
-    mat = np.diag(-kappa * (mp.ksq + (mp.m * ps) ** 2)) \
-        + np.diag(off, 1) + np.diag(off, -1)
-    return float(np.linalg.eigvalsh(mat)[-1])
+    return float(scipy.linalg.eigvalsh_tridiagonal(
+        -kappa * (mp.ksq + (mp.m * ps) ** 2), off,
+        lapack_driver=_ORACLE_DRIVER)[-1])
 
 
 def growth_bound_constant(a: float, m: int, phys: PhysicalParams) -> float:

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from mg_spectra import cli, experiments
+from mg_spectra import cli, experiments, spectrum
 
 
 def test_validate_config_defaults():
@@ -216,6 +216,28 @@ def test_root_counters_in_summary(tmp_path):
         assert seen[0] == seen[1]
         assert [(b["kappa"], b["modes"], b["roots"])
                 for b in seen[0]["roots"]] == batches
+
+
+def test_oracle_solver_in_summary(tmp_path):
+    # the oracle's LAPACK routine, its P and the continued-fraction depth,
+    # the same at one and two threads and kept out of results.csv
+    seen = []
+    for threads in (1, 2):
+        out = str(tmp_path / str(threads))
+        experiments.run_experiment(
+            "oracle-xcheck", {"params": {"values": [1, 2], "P": 64}}, out,
+            threads)
+        with open(os.path.join(out, "summary.json")) as fh:
+            seen.append(json.load(fh)["solver"])
+        with open(os.path.join(out, "results.csv")) as fh:
+            header = fh.readline().strip().split(",")
+        assert not set(header) & {"lapack", "P", "depth", "solver"}
+    assert seen[0] == seen[1] == {"lapack": "dstevd", "P": 64,
+                                  "depth": spectrum._DEPTH}
+    experiments.run_experiment("sigma-table", {"params": {"values": [1]}},
+                               str(tmp_path / "table"), 1)
+    with open(tmp_path / "table" / "summary.json") as fh:
+        assert "solver" not in json.load(fh)
 
 
 def test_summary_environment(tmp_path):

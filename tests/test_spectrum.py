@@ -144,6 +144,74 @@ def test_matrix_oracle_agreement():
         assert abs(lam - mode.sigma) <= 1e-8 * mode.sigma
 
 
+def _dense_top_eigenvalue(mp, kappa, P):
+    # the truncated matrix built densely, as the oracle did before it took
+    # the two bands
+    ps = np.arange(1, P + 1)
+    al = spectrum.alpha(ps, mp)
+    off = 1.0 / np.sqrt(al[:-1] * al[1:])
+    mat = np.diag(-kappa * (mp.ksq + (mp.m * ps) ** 2)) \
+        + np.diag(off, 1) + np.diag(off, -1)
+    return float(np.linalg.eigvalsh(mat)[-1])
+
+
+def test_tridiagonal_oracle_equals_dense_bitwise():
+    # the 162 default oracle-xcheck jobs: {1, 2, 4}^4 at kappa 0 and 1e-3
+    for key in itertools.product((1, 2, 4), repeat=4):
+        mp = _mode(*key)
+        for kappa in (0.0, 1e-3):
+            assert spectrum.truncated_matrix_eigenvalue(mp, kappa, 128) \
+                == _dense_top_eigenvalue(mp, kappa, 128)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.floats(0.25, 4.0), m=st.integers(1, 4),
+       k1=st.integers(1, 8), k2=st.integers(1, 8),
+       kappa=st.sampled_from([0.0, 1e-3, 1e-2, 0.1]), P=st.integers(8, 256))
+def test_tridiagonal_oracle_matches_dense(a, m, k1, k2, kappa, P):
+    mp = _mode(a, m, k1, k2)
+    lam = spectrum.truncated_matrix_eigenvalue(mp, kappa, P)
+    dense = _dense_top_eigenvalue(mp, kappa, P)
+    assert abs(lam - dense) <= 1e-13 * abs(dense)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.floats(0.25, 4.0), m=st.integers(1, 4),
+       k1=st.integers(1, 8), k2=st.integers(1, 8),
+       kappa=st.sampled_from([0.0, 1e-3, 1e-2, 0.1]),
+       frac=st.floats(-0.5, 1.5), p=st.integers(1, 3),
+       depth=st.sampled_from([4, 8, spectrum._DEPTH, 200]))
+def test_scalar_fraction_equals_one_column_recurrence(a, m, k1, k2, kappa,
+                                                     frac, p, depth):
+    # the scalar path on Python floats gives the batched kernel's bits; frac
+    # < 1 reaches below the bracket, where the poles are
+    mp = _mode(a, m, k1, k2)
+    sigma = frac * spectrum.analytic_bracket(mp)[1]
+    ksq = np.array([mp.ksq])
+
+    def batched(q0, top):
+        al = spectrum.alpha(np.arange(q0, top + 1), mp)[:, None]
+        return spectrum._recurrence(np.array([sigma]), al, q0, kappa, ksq,
+                                    m)[0][0]
+
+    h = batched(1, spectrum._DEPTH + 2)
+    char = spectrum._char(sigma, mp, kappa)
+    assert np.isnan(char) == np.isnan(h)
+    if np.isnan(h):
+        with pytest.raises(spectrum.PoleError):
+            spectrum.f_continued_fraction(2, sigma, mp, kappa=kappa)
+    else:
+        assert np.float64(char).tobytes() == h.tobytes()
+    h = batched(p, p + depth)
+    if not h > 0.0:
+        with pytest.raises(spectrum.PoleError):
+            spectrum.f_continued_fraction(p, sigma, mp, depth, kappa)
+    else:
+        f = spectrum.f_continued_fraction(p, sigma, mp, depth, kappa)
+        assert type(f) is float
+        assert np.float64(f).tobytes() == (1.0 / h).tobytes()
+
+
 def test_diffusive_root_unit():
     mode = spectrum.solve_growth_rate_diffusive(UNIT, 1e-3)
     assert mode.sigma == pytest.approx(0.02405420743165633, rel=1e-10)
