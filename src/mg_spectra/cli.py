@@ -60,17 +60,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolve_threads(arg_value) -> int:
     """The thread count, from 1 up to the CPUs this process may run on."""
-    value = 1
-    if arg_value is not None:
-        value = int(arg_value)
-    else:
-        env = os.environ.get(_ENV_THREADS)
-        if env:
-            try:
-                value = int(env)
-            except ValueError:
-                raise SystemExit("%s must be an integer, got %r"
-                                 % (_ENV_THREADS, env))
+    env = os.environ.get(_ENV_THREADS)
+    try:
+        value = int(arg_value if arg_value is not None else env or 1)
+    except ValueError:
+        raise SystemExit("%s must be an integer, got %r" % (_ENV_THREADS, env))
     return min(max(1, value), len(os.sched_getaffinity(0)))
 
 

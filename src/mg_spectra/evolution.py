@@ -20,7 +20,9 @@ state on the 2/3 band |k_i| <= cut = (2N+1)//3 and forms products on an
 alias-free L^3 grid, L = next_fast_len(3 cut + 1) (64 at N = 32); fields
 enter as full centered cubes, and band_field pads a band state back to
 one.  The solver owns its L^3 work grids and transforms in place on them,
-so a step allocates no grid and a solver is not shared across threads.
+so a step allocates no grid and a solver is not shared across threads;
+from L = 25 up its transforms skip the lines of the grid the band leaves
+zero or unread, with the n-d transforms' bits.
 Both integrators take fixed steps of one classical RK4 step, `_rk4_step`.
 """
 
@@ -319,6 +321,11 @@ def _ksq(cut: int) -> np.ndarray:
     return ksq
 
 
+# grids of at least this side run each transform as pruned 1-D passes; on
+# smaller ones the calls they add cost more than the lines they skip
+_PRUNE_SIDE = 25
+
+
 class NonlinearSolver:
     """Pseudo-spectral right-hand side on the 2/3 band |k_i| <= cut.
 
@@ -328,10 +335,17 @@ class NonlinearSolver:
     of Theta + i U3 and U1 + i U2, a forward one of U1 Theta + i U2 Theta
     split by Hermitian symmetry, and a real forward one of U3 Theta.
 
+    The band fills 2/3 of each axis, so on grids of side L >= 25 each
+    transform runs as 1-D passes that skip the lines which are zero on
+    input (inverse) or not read on output (forward), in pocketfft's own
+    axis order and with its 1/L^3 scale after the first pass: the result
+    is bit for bit that of the n-d call, which smaller grids make.
+
     The solver owns its L^3 work grids: the three complex transforms run in
     place on them, and only the real transform's half spectrum is allocated
     per call.  It therefore holds mutable state and must not be shared
-    between threads; each nonlinear_steps call builds its own.
+    between threads; each nonlinear_steps call builds its own.  counts
+    holds the rhs calls and 3-D transforms made so far.
     """
 
     def __init__(self, n: int, phys: PhysicalParams = None, kappa: float = 0.0,
@@ -340,9 +354,10 @@ class NonlinearSolver:
         if phys is None:
             phys = PhysicalParams()
         self.cut = cut = dealias_cut(n)
-        side = scipy.fft.next_fast_len(3 * cut + 1)
+        self.side = side = scipy.fft.next_fast_len(3 * cut + 1)
         self.kappa = float(kappa)
         self.workers = workers
+        self.counts = {"rhs": 0, "transforms": 0}
         self.msym = m_symbol_grids(cut, phys)
         k1, k2, k3 = np.ogrid[-cut:cut + 1, -cut:cut + 1, -cut:cut + 1]
         self.ksq = _ksq(cut)
@@ -360,18 +375,72 @@ class NonlinearSolver:
         self._half_r = np.ravel_multi_index(half, (side, side, side // 2 + 1),
                                             mode="wrap")
         self._ik1, self._k2, self._ik3 = 0.5j * k1, 0.5 * k2, 1j * half[2]
+        # the band's two index ranges 0..cut and L-cut..L-1 on each axis
+        self._bands = None if side < _PRUNE_SIDE else \
+            (slice(0, cut + 1), slice(side - cut, side))
+        self._fct = 1.0 / side ** 3
         # work grids: Theta + i U3, U1 + i U2, and the two products with Theta
         self._z = np.zeros(grid, dtype=np.complex128)
         self._u = np.zeros(grid, dtype=np.complex128)
         self._prod = np.empty(grid, dtype=np.complex128)
         self._prod_r = np.empty(grid, dtype=float)
 
+    def _pass(self, x: np.ndarray, axis: int, inverse: bool = False):
+        """One unnormalized 1-D transform along axis, in place on x."""
+        (scipy.fft.ifft if inverse else scipy.fft.fft)(
+            x, axis=axis, norm="forward" if inverse else "backward",
+            overwrite_x=True, workers=self.workers)
+
     def _to_phys(self, spec: np.ndarray, grid: np.ndarray) -> np.ndarray:
         """Band coefficients spec to grid values, in place in grid."""
+        self.counts["transforms"] += 1
         grid.fill(0.0)
         np.put(grid, self._put, spec)
-        return scipy.fft.ifftn(grid, norm="forward", workers=self.workers,
-                               overwrite_x=True)
+        if self._bands is None:
+            return scipy.fft.ifftn(grid, norm="forward", workers=self.workers,
+                                   overwrite_x=True)
+        # axis 0 on the lines whose (k2, k3) lie in the band, axis 1 on the
+        # planes whose k3 does, axis 2 on all: the rest is zero
+        for b2, b3 in itertools.product(self._bands, repeat=2):
+            self._pass(grid[:, b2, b3], 0, inverse=True)
+        for b3 in self._bands:
+            self._pass(grid[:, :, b3], 1, inverse=True)
+        self._pass(grid, 2, inverse=True)
+        return grid
+
+    def _forward(self, grid: np.ndarray) -> np.ndarray:
+        """Forward transform over L^3, in place on grid; pruned, only the
+        entries with (k1, k2) in the band are final."""
+        self.counts["transforms"] += 1
+        if self._bands is None:
+            return scipy.fft.fftn(grid, norm="forward", workers=self.workers,
+                                  overwrite_x=True)
+        self._pass(grid, 0)
+        for b1 in self._bands:
+            # pocketfft scales after the first pass, by real multiplies: a
+            # complex one can flip the sign of a zero
+            slab = grid[b1].view(float)
+            slab *= self._fct
+            self._pass(grid[b1], 1)
+        for b1, b2 in itertools.product(self._bands, repeat=2):
+            self._pass(grid[b1, b2], 2)
+        return grid
+
+    def _forward_real(self, grid: np.ndarray) -> np.ndarray:
+        """Half spectrum k3 >= 0 of the real grid over L^3; pruned, only the
+        entries with (k1, k2) in the band and 1 <= k3 <= cut are final."""
+        self.counts["transforms"] += 1
+        if self._bands is None:
+            return scipy.fft.rfftn(grid, norm="forward", workers=self.workers)
+        # pocketfft's order: the real pass on axis 2, then axes 0 and 1
+        spec = scipy.fft.rfft(grid, axis=2, workers=self.workers)
+        cols = spec[:, :, 1:self.cut + 1]
+        scaled = cols.view(float)
+        scaled *= self._fct
+        self._pass(cols, 0)
+        for b1 in self._bands:
+            self._pass(cols[b1], 1)
+        return spec
 
     def advection(self, c: np.ndarray) -> np.ndarray:
         """Band coefficients of U . grad Theta.
@@ -384,11 +453,9 @@ class NonlinearSolver:
         z = self._to_phys(c + 1j * (m3 * c), self._z)         # Theta + i U3
         theta = z.real
         u = self._to_phys(m1 * c + 1j * (m2 * c), self._u)    # U1 + i U2
-        f = scipy.fft.fftn(np.multiply(u, theta, out=self._prod),
-                           norm="forward", workers=self.workers,
-                           overwrite_x=True).ravel()
-        r = scipy.fft.rfftn(np.multiply(z.imag, theta, out=self._prod_r),
-                            norm="forward", workers=self.workers).ravel()
+        f = self._forward(np.multiply(u, theta, out=self._prod)).ravel()
+        r = self._forward_real(
+            np.multiply(z.imag, theta, out=self._prod_r)).ravel()
         # F = A + iB with A, B the spectra of U1 Theta and U2 Theta, so
         # i k1 A + i k2 B = (i k1/2)(F(k) + conj F(-k))
         #                   + (k2/2)(F(k) - conj F(-k))
@@ -410,6 +477,7 @@ class NonlinearSolver:
 
     def rhs(self, c: np.ndarray):
         """(d c/dt, advection) at the band state c."""
+        self.counts["rhs"] += 1
         adv = self.advection(c)
         out = self.source - adv
         if self.kappa:
@@ -477,7 +545,7 @@ def analytic_window(theta0: SpectralField, r: float) -> tuple:
 def nonlinear_steps(theta0: SpectralField, kappa: float,
                     source: SpectralField, dt: float, t_end: float,
                     phys: PhysicalParams = None, *, window: tuple = None,
-                    workers: int = 1):
+                    workers: int = 1, counters: list = None):
     """Advance the nonlinear MG equation: an iterator over (t, c, adv).
 
     At step i = 0..round(t_end / dt), t = i dt, c is the read-only band
@@ -491,7 +559,9 @@ def nonlinear_steps(theta0: SpectralField, kappa: float,
     analytic theory gives no meaning to the output there.  Bad input
     raises here, before the first step.  A CFL heuristic
     (max |U| dt N > 0.5) warns once per run, a non-finite state raises
-    DivergenceError, and workers goes to scipy.fft.
+    DivergenceError, and workers goes to scipy.fft.  A run that ends
+    appends its work to counters, when given: n, the grid side L, the
+    steps, and the rhs calls and 3-D transforms the solver made.
     """
     if dt <= 0 or t_end <= 0:
         raise ValueError("dt and t_end must be positive")
@@ -514,11 +584,11 @@ def nonlinear_steps(theta0: SpectralField, kappa: float,
     solver = NonlinearSolver(theta0.n, phys=phys, kappa=kappa, source=source,
                              workers=workers)
     c = np.array(band(theta0.coeffs, solver.cut))
-    return _steps(solver, c, dt, int(round(t_end / dt)), theta0.n)
+    return _steps(solver, c, dt, int(round(t_end / dt)), theta0.n, counters)
 
 
 def _steps(solver: NonlinearSolver, c: np.ndarray, dt: float, n_steps: int,
-           n: int):
+           n: int, counters: list):
     def rhs(y):
         return solver.rhs(y)[0]
 
@@ -536,6 +606,9 @@ def _steps(solver: NonlinearSolver, c: np.ndarray, dt: float, n_steps: int,
                 cfl_warned = True
         yield i * dt, c, adv
         if i == n_steps:
+            if counters is not None:
+                counters.append(dict(n=n, side=solver.side, steps=n_steps,
+                                     **solver.counts))
             return
         c = _rk4_step(rhs, c, dt, k1)
         if not np.all(np.isfinite(c)):

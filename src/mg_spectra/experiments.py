@@ -414,13 +414,10 @@ def _run_slice_growth(params, tols, out_dir, threads):
          "rel_err": rel_g, "tolerance": tols["generic_rel"],
          "ok": rel_g <= tols["generic_rel"]},
     ]
-    traj_path = os.path.join(out_dir, "trajectory.csv")
-    with open(traj_path, "w") as fh:
-        fh.write("case,t,norm\n")
-        for t, nv in zip(traj_e.t, traj_e.norm):
-            fh.write("eigenvector,%.17g,%.17g\n" % (t, nv))
-        for t, nv in zip(traj_g.t, traj_g.norm):
-            fh.write("generic,%.17g,%.17g\n" % (t, nv))
+    _write_csv(os.path.join(out_dir, "trajectory.csv"), ["case", "t", "norm"],
+               [{"case": case, "t": t, "norm": nv} for case, traj in
+                (("eigenvector", traj_e), ("generic", traj_g))
+                for t, nv in zip(traj.t, traj.norm)])
     checks = [
         _check("eigenvector_rate", rows[0]["ok"], rel_e, tols["eigen_rel"]),
         _check("generic_rate", rows[1]["ok"], rel_g, tols["generic_rel"]),
@@ -581,8 +578,7 @@ def _run_dynamo_scaling(params, tols, out_dir, threads):
 
 
 def _run_gevrey_breakdown(params, tols, out_dir, threads):
-    rows = []
-    checks = []
+    rows, checks = [], []
 
     n_steps = int(round(params["t_end"] / params["dt"]))
     if n_steps < 1:
@@ -646,9 +642,11 @@ def _run_gevrey_breakdown(params, tols, out_dir, threads):
             "floor 2^-52 tau0 (1/dt + 2 K0) = %.3g above its tolerance %g "
             "(dt = %g, K0 = %.3g at r = %g)"
             % (floor, tols["ode_residual"], params["dt"], k0, params["r"]))
+    runs = []
     try:
         steps = evolution.nonlinear_steps(theta0, 0.0, None, params["dt"],
-                                          params["t_end"], window=(tau0, k0))
+                                          params["t_end"], window=(tau0, k0),
+                                          counters=runs)
     except evolution.AnalyticWindowError as exc:
         raise ExperimentError("params.t_end: %s" % exc)
     # the Gevrey norm stays under K0 while tau follows the linear decay;
@@ -711,7 +709,8 @@ def _run_gevrey_breakdown(params, tols, out_dir, threads):
                  "value": float(agree), "extra": 0.0})
 
     columns = ["series", "x", "value", "extra"]
-    return ExperimentResult(columns, rows, checks)
+    return ExperimentResult(columns, rows, checks,
+                            counters={"nonlinear": runs})
 
 
 def _resolution_for(j: int, m: int) -> int:
@@ -732,7 +731,7 @@ def _run_lipschitz_blowup(params, tols, out_dir, threads):
     phys = PhysicalParams.from_mu(omega=params["omega"], mu=params["mu"])
     a, m, eps, dt = params["a"], params["m"], params["eps"], params["dt"]
     t_probe = params["t_probe"]
-    rows = []
+    rows, runs = [], []
     for j in sorted(params["j_list"]):
         mp = ModeParams(a=a, m=m, k1=j, k2=_square_root("params.j_list", j),
                         phys=phys)
@@ -745,7 +744,8 @@ def _run_lipschitz_blowup(params, tols, out_dir, threads):
         try:
             steps = evolution.nonlinear_steps(
                 fields.SpectralField(base.coeffs + eps * psi.coeffs), 0.0,
-                None, dt, t_probe, phys=phys, window=window, workers=threads)
+                None, dt, t_probe, phys=phys, window=window, workers=threads,
+                counters=runs)
         except evolution.AnalyticWindowError as exc:
             raise ExperimentError("params.t_probe: j = %d: %s" % (j, exc))
         final = _final_field(steps, n)
@@ -778,13 +778,20 @@ def _run_lipschitz_blowup(params, tols, out_dir, threads):
     ]
     columns = ["j", "sigma", "ratio_nonlinear", "ratio_linear_run",
                "ratio_closed_form", "gap_vs_closed"]
-    return ExperimentResult(columns, rows, checks)
+    return ExperimentResult(columns, rows, checks,
+                            counters={"nonlinear": runs})
 
 
 def _run_nonlinear_energy(params, tols, out_dir, threads):
     n = params["n"]
-    rows = []
-    checks = []
+    rows, checks, runs = [], [], []
+
+    def case(name, measured, tol, check=None):
+        """A row of measured against its tolerance, and its check."""
+        ok = measured <= tol
+        rows.append({"case": name, "measured": measured, "target": tol,
+                     "ok": ok})
+        checks.append(_check(check or name, ok, measured, tol))
 
     # the linearized case needs an unstable mode inside the dealias band;
     # find out before any run starts
@@ -810,26 +817,18 @@ def _run_nonlinear_energy(params, tols, out_dir, threads):
     worst_energy = max(
         evolution.energy_residual(c, adv, kap_e) for _, c, adv in
         evolution.nonlinear_steps(theta0, kap_e, None, 0.01, 0.2,
-                                  workers=threads))
-    rows.append({"case": "energy_identity", "measured": worst_energy,
-                 "target": tols["energy_residual"],
-                 "ok": worst_energy <= tols["energy_residual"]})
-    checks.append(_check("energy_identity", rows[-1]["ok"], worst_energy,
-                         tols["energy_residual"]))
+                                  workers=threads, counters=runs))
+    case("energy_identity", worst_energy, tols["energy_residual"])
 
     # balanced source holds the steady state fixed
     a_s, m_s, kap_s = 1.0, 1, params["kappa_energy"]
     base = evolution.steady_state_field(n, a_s, m_s)
     source = evolution.steady_source_field(n, a_s, m_s, kap_s)
     final = _final_field(evolution.nonlinear_steps(
-        base, kap_s, source, 0.02, 1.0, workers=threads), n)
+        base, kap_s, source, 0.02, 1.0, workers=threads, counters=runs), n)
     drift = (fields.l2_norm(final.coeffs - base.coeffs)
              / fields.l2_norm(base.coeffs))
-    rows.append({"case": "steady_state_drift", "measured": drift,
-                 "target": tols["steady_drift"],
-                 "ok": drift <= tols["steady_drift"]})
-    checks.append(_check("steady_state_drift", rows[-1]["ok"], drift,
-                         tols["steady_drift"]))
+    case("steady_state_drift", drift, tols["steady_drift"])
 
     # RK4 order under dt halving on a smaller grid
     n_small = 12
@@ -840,7 +839,7 @@ def _run_nonlinear_energy(params, tols, out_dir, threads):
         warnings.simplefilter("ignore", RuntimeWarning)
         for dt in (0.1, 0.05, 0.025, 0.00625):
             terminal[dt] = _final_field(evolution.nonlinear_steps(
-                smooth, 0.02, None, dt, 0.4), n_small).coeffs
+                smooth, 0.02, None, dt, 0.4, counters=runs), n_small).coeffs
     err = {dt: fields.l2_norm(terminal[dt] - terminal[0.00625])
            for dt in (0.1, 0.05, 0.025)}
     ratio1 = err[0.1] / err[0.05]
@@ -865,7 +864,8 @@ def _run_nonlinear_energy(params, tols, out_dir, threads):
     b_sym = symbols.b_symbol_grids(cut, PhysicalParams())
     t, pert, mag = [], [], []
     for t_now, c, _ in evolution.nonlinear_steps(
-            init, kap_l, source, params["dt_lin"], t_end, workers=threads):
+            init, kap_l, source, params["dt_lin"], t_end, workers=threads,
+            counters=runs):
         d = c - ref
         t.append(t_now)
         pert.append(fields.l2_norm(d))
@@ -880,19 +880,16 @@ def _run_nonlinear_energy(params, tols, out_dir, threads):
                  "target": mode.sigma, "ok": rel_t <= tols["rate_rel"]})
     rows.append({"case": "magnetic_rate", "measured": rate_b,
                  "target": rate_t, "ok": rel_b <= tols["rate_rel"]})
-    rows.append({"case": "perturbation_ceiling", "measured": ceiling,
-                 "target": tols["pert_ceiling"],
-                 "ok": ceiling <= tols["pert_ceiling"]})
     checks.append(_check("linearized_rate", rel_t <= tols["rate_rel"],
                          rel_t, tols["rate_rel"]))
     checks.append(_check("magnetic_rate", rel_b <= tols["rate_rel"],
                          rel_b, tols["rate_rel"]))
-    checks.append(_check("perturbation_stays_linear",
-                         ceiling <= tols["pert_ceiling"], ceiling,
-                         tols["pert_ceiling"]))
+    case("perturbation_ceiling", ceiling, tols["pert_ceiling"],
+         "perturbation_stays_linear")
 
     columns = ["case", "measured", "target", "ok"]
-    return ExperimentResult(columns, rows, checks)
+    return ExperimentResult(columns, rows, checks,
+                            counters={"nonlinear": runs})
 
 
 _RUNNERS = {
@@ -947,6 +944,17 @@ def run_experiment(name: str, config: dict = None, out_dir: str = ".",
     return result
 
 
+# plot series read straight from one CSV: (its name, the x column, the
+# y columns, each its own series, in this order per row)
+_PLOT_SERIES = {
+    "gevrey-breakdown": ("tracker.csv", "t", ("tau", "A", "a")),
+    "illposed-scaling": ("results.csv", "j", ("sigma", "bound")),
+    "lipschitz-blowup": ("results.csv", "j",
+                         ("ratio_nonlinear", "ratio_closed_form")),
+    "dynamo-scaling": ("results.csv", "kappa", ("sigma_max", "sigma_bound")),
+}
+
+
 def emit_plot_data(results_dir: str, out_path: str) -> None:
     """Flatten an experiment's results into (experiment, series, x, y) rows."""
     summary_path = os.path.join(results_dir, "summary.json")
@@ -963,50 +971,24 @@ def emit_plot_data(results_dir: str, out_path: str) -> None:
 
     results = read_rows(os.path.join(results_dir, "results.csv"))
     if name == "slice-growth":
-        traj = read_rows(os.path.join(results_dir, "trajectory.csv"))
         sigma = float(results[0]["sigma"])
-        base = {}
-        for row in traj:
-            t = float(row["t"])
-            y = math.log(float(row["norm"]))
-            series = row["case"] + "_log_norm"
-            base.setdefault(row["case"], y if t == 0.0 else None)
-            out_rows.append((name, series, t, y))
-        for row in traj:
-            if row["case"] != "eigenvector":
-                continue
-            t = float(row["t"])
-            out_rows.append((name, "sigma_reference", t,
-                             base["eigenvector"] + sigma * t))
+        out_rows = [(name, row["case"] + "_log_norm", float(row["t"]),
+                     math.log(float(row["norm"]))) for row in read_rows(
+                         os.path.join(results_dir, "trajectory.csv"))]
+        # the eigenvector's log norm from t = 0 at the rate sigma
+        eig = [row[2:] for row in out_rows
+               if row[1] == "eigenvector_log_norm"]
+        out_rows += [(name, "sigma_reference", t, eig[0][1] + sigma * t)
+                     for t, _ in eig]
     elif name == "diffusive-sweep":
         for row in results:
             out_rows.append((name, "k2=%s" % row["k2"], float(row["k1"]),
                              float(row["sigma"])))
-    elif name == "gevrey-breakdown":
-        traj = read_rows(os.path.join(results_dir, "tracker.csv"))
-        for row in traj:
-            t = float(row["t"])
-            out_rows.append((name, "tau", t, float(row["tau"])))
-            out_rows.append((name, "A", t, float(row["A"])))
-            out_rows.append((name, "a", t, float(row["a"])))
-    elif name == "illposed-scaling":
-        for row in results:
-            out_rows.append((name, "sigma", float(row["j"]),
-                             float(row["sigma"])))
-            out_rows.append((name, "bound", float(row["j"]),
-                             float(row["bound"])))
-    elif name == "lipschitz-blowup":
-        for row in results:
-            out_rows.append((name, "ratio_nonlinear", float(row["j"]),
-                             float(row["ratio_nonlinear"])))
-            out_rows.append((name, "ratio_closed_form", float(row["j"]),
-                             float(row["ratio_closed_form"])))
-    elif name == "dynamo-scaling":
-        for row in results:
-            out_rows.append((name, "sigma_max", float(row["kappa"]),
-                             float(row["sigma_max"])))
-            out_rows.append((name, "sigma_bound", float(row["kappa"]),
-                             float(row["sigma_bound"])))
+    elif name in _PLOT_SERIES:
+        table, x, series = _PLOT_SERIES[name]
+        for row in read_rows(os.path.join(results_dir, table)):
+            out_rows.extend((name, y, float(row[x]), float(row[y]))
+                            for y in series)
     else:
         raise ExperimentError("no plot-data mapping for %r" % name)
     with open(out_path, "w") as fh:

@@ -184,13 +184,8 @@ def radius_estimate(fld: SpectralField) -> RadiusEstimate:
     cstar = best[present]
 
     # exact-zero tail of >= 3 shells: trigonometric polynomial, entire field
-    tail = 0
-    for c in cstar[::-1]:
-        if c == 0.0:
-            tail += 1
-        else:
-            break
-    if tail >= 3 and np.any(cstar > 0):
+    nonzero = np.flatnonzero(cstar)
+    if nonzero.size and cstar.size - 1 - nonzero[-1] >= 3:
         return RadiusEstimate(radius=float("inf"), entire=True)
 
     use = cstar > _SHELL_FLOOR

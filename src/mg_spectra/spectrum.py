@@ -241,10 +241,18 @@ def _char(sigma: float, mp: ModeParams, kappa: float) -> float:
 
 
 def _root(mp: ModeParams, kappa: float, lo: float, hi: float):
-    """(sigma*, |h(sigma*)|) by bisection of the pole-or-negative test."""
-    sigma = float(_bisect(lambda s: _below(_char(s, mp, kappa)), lo, hi))
+    """(sigma*, |h(sigma*)|) by bisection of the pole-or-negative test:
+    _bisect on Python floats, bit for bit."""
+    lo, hi = float(lo), float(hi)
+    for _ in range(_MAX_BISECT):
+        sigma = 0.5 * (lo + hi)
+        if sigma == lo or sigma == hi:
+            break
+        h = _char(sigma, mp, kappa)   # a pole (NaN) or h < 0: below the root
+        lo, hi = (sigma, hi) if h != h or h < 0.0 else (lo, sigma)
+    sigma = 0.5 * (lo + hi)
     h = _char(sigma, mp, kappa)
-    return sigma, abs(h) if np.isfinite(h) else float("inf")
+    return sigma, abs(h) if math.isfinite(h) else float("inf")
 
 
 def _bracket(a1, a2):

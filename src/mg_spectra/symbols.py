@@ -25,14 +25,13 @@ field carried by the scalar.
 One formula, _m, serves every evaluation.  m_symbol, t_symbol and b_symbol
 take k as integers or integer arrays broadcasting to a shape B and return
 float arrays of shape (3,) + B or (3, 3) + B; the *_grids forms evaluate
-the centered cube; the *_exact variants run _m on Fractions (integer k,
-rational Omega and mu), so algebraic identities can be checked exactly.
+the centered cube.  _m uses arithmetic operators only, so on integer k
+and rational Omega and mu it also runs on Fractions: the tests check the
+algebraic identities exactly that way.
 """
 from __future__ import annotations
 
 import csv
-from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -68,20 +67,6 @@ def m_symbol(k, phys: PhysicalParams) -> np.ndarray:
     return m
 
 
-def m_symbol_exact(k: Sequence[int], omega, mu) -> tuple[Fraction, Fraction, Fraction]:
-    """M(k) in exact rational arithmetic (integer k, rational omega and mu)."""
-    k1, k2, k3 = (int(v) for v in k)
-    if k3 == 0:
-        return (Fraction(0), Fraction(0), Fraction(0))
-    return _m(k1, k2, k3, Fraction(omega), Fraction(mu))
-
-
-def divergence_exact(k: Sequence[int], omega, mu) -> Fraction:
-    """k . M(k) in exact arithmetic; identically zero."""
-    m = m_symbol_exact(k, omega, mu)
-    return sum(Fraction(int(ki)) * mi for ki, mi in zip(k, m))
-
-
 def t_symbol(k, phys: PhysicalParams) -> np.ndarray:
     """Divergence-form matrix T_ij(k) = -(i k_i / |k|^2) M_j(k).
 
@@ -95,21 +80,6 @@ def t_symbol(k, phys: PhysicalParams) -> np.ndarray:
         t = (-1j * kq)[:, None] * m_symbol(k, phys)
     np.copyto(t, 0.0, where=k3 == 0)
     return t
-
-
-def t_symbol_exact(k: Sequence[int], omega, mu) -> tuple:
-    """Imaginary parts of T(k) as a 3x3 nested tuple of Fractions.
-
-    Every entry of T is purely imaginary, T_ij = i * (-k_i / |k|^2 * M_j),
-    so the rational content is returned directly.
-    """
-    k1, k2, k3 = (int(v) for v in k)
-    if k3 == 0:
-        return ((Fraction(0),) * 3,) * 3
-    ksq = k1 * k1 + k2 * k2 + k3 * k3
-    m = m_symbol_exact(k, omega, mu)
-    return tuple(tuple(Fraction(-ki, ksq) * mj for mj in m)
-                 for ki in (k1, k2, k3))
 
 
 def b_symbol(k, phys: PhysicalParams) -> np.ndarray:

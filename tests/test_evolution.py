@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -423,7 +424,8 @@ def _advection_allocating(solver, c):
     return adv, max_u
 
 
-@pytest.mark.parametrize("n,side", [(8, 16), (16, 35)])
+@pytest.mark.parametrize("n,side", [(8, 16), (16, 35), (12, 25), (27, 55),
+                                    (32, 64)])
 def test_advection_in_place_matches_allocating_path(n, side):
     solver = ev.NonlinearSolver(n, phys=PhysicalParams(omega=1.3, beta=0.9))
     assert solver._z.shape == (side,) * 3
@@ -431,6 +433,56 @@ def test_advection_in_place_matches_allocating_path(n, side):
     adv, max_u = _advection_allocating(solver, c)
     assert np.array_equal(solver.advection(c), adv)
     assert solver.max_speed() == max_u > 0.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.sampled_from([4, 8, 11, 12, 13, 16]),
+       seed=st.integers(0, 2 ** 32 - 1), prune_all=st.booleans())
+def test_pruned_advection_matches_full_transforms(n, seed, prune_all):
+    # random Hermitian band data, with no decay and no zero plane: the
+    # pruned 1-D passes (side >= _PRUNE_SIDE, or every side when prune_all)
+    # give the n-d transforms' advection and max |U| bit for bit
+    rng = np.random.default_rng(seed)
+    shape = (2 * n + 1,) * 3
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    c = ev.band_limit(0.5 * (c + np.conj(c[::-1, ::-1, ::-1])))
+    gate = 0 if prune_all else ev._PRUNE_SIDE
+    with mock.patch.object(ev, "_PRUNE_SIDE", gate):
+        solver = ev.NonlinearSolver(n, phys=PhysicalParams(omega=0.7,
+                                                           beta=1.1))
+    assert (solver._bands is not None) == (solver.side >= gate)
+    adv, max_u = _advection_allocating(solver, c)
+    assert np.array_equal(solver.advection(c), adv)
+    assert solver.max_speed() == max_u
+
+
+def _count_fft_calls(monkeypatch):
+    """Count every scipy.fft entry point call, by name, from here on."""
+    calls = []
+    for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "rfftn", "irfftn"):
+        def counted(*args, _fn=getattr(scipy.fft, name), _name=name,
+                    **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(scipy.fft, name, counted)
+    return calls
+
+
+def test_transform_calls_below_and_above_the_gate(monkeypatch):
+    # below the gate each advection makes its four 3-D transforms as four
+    # n-d calls; above it, as 25 pruned 1-D passes: 7 per inverse, 7 for
+    # the complex forward and 4 for the real one
+    small, large = ev.NonlinearSolver(4), ev.NonlinearSolver(12)
+    assert small.side < ev._PRUNE_SIDE <= large.side
+    calls = _count_fft_calls(monkeypatch)
+    for _ in range(2):
+        small.advection(_smooth_real_field(4, 1))
+    assert calls == ["ifftn", "ifftn", "fftn", "rfftn"] * 2
+    del calls[:]
+    large.advection(_smooth_real_field(12, 1))
+    assert calls == ["ifft"] * 14 + ["fft"] * 7 + ["rfft"] + ["fft"] * 3
+    assert small.counts == {"rhs": 0, "transforms": 8}
+    assert large.counts == {"rhs": 0, "transforms": 4}
 
 
 def test_solver_grids_keep_nothing_between_calls():

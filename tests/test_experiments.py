@@ -218,6 +218,37 @@ def test_root_counters_in_summary(tmp_path):
                 for b in seen[0]["roots"]] == batches
 
 
+def test_nonlinear_counters_in_summary(tmp_path):
+    # each nonlinear_steps run counts its steps, rhs calls (4 per step + 1)
+    # and 3-D transforms (4 per rhs) on either side of the pruning gate;
+    # the counts are the same at one and two threads and stay out of
+    # results.csv
+    cases = (("nonlinear-energy",
+              {"n": 8, "k1_lin": 2, "k2_lin": 1, "steps_lin": 10},
+              [(8, 16, 20), (8, 16, 50), (12, 25, 4), (12, 25, 8),
+               (12, 25, 16), (12, 25, 64), (8, 16, 10)]),
+             ("lipschitz-blowup", {"j_list": [1, 4]},
+              [(8, 16, 100), (9, 20, 100)]),
+             ("gevrey-breakdown", {"n_fit": 32, "t_end": 0.1},
+              [(16, 35, 10)]))
+    for name, params, runs in cases:
+        seen = []
+        for threads in (1, 2):
+            out = str(tmp_path / name / str(threads))
+            experiments.run_experiment(name, {"params": params}, out, threads)
+            with open(os.path.join(out, "summary.json")) as fh:
+                seen.append(json.load(fh)["counters"])
+            with open(os.path.join(out, "results.csv")) as fh:
+                header = fh.readline()
+            assert "rhs" not in header and "transforms" not in header
+        assert seen[0] == seen[1]
+        entries = seen[0]["nonlinear"]
+        assert [(r["n"], r["side"], r["steps"]) for r in entries] == runs
+        for r in entries:
+            assert r["rhs"] == 4 * r["steps"] + 1
+            assert r["transforms"] == 4 * r["rhs"]
+
+
 def test_oracle_solver_in_summary(tmp_path):
     # the oracle's LAPACK routine, its P and the continued-fraction depth,
     # the same at one and two threads and kept out of results.csv

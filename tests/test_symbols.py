@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from mg_spectra.params import PhysicalParams
 from mg_spectra import symbols
+from symbols_exact import (divergence_exact, m_symbol_exact,
+                           t_symbol_exact)
 
 UNIT = PhysicalParams()
 
@@ -20,7 +22,7 @@ POINT_VALUES = {
 
 @pytest.mark.parametrize("k,expected", sorted(POINT_VALUES.items()))
 def test_m_symbol_exact_points(k, expected):
-    assert symbols.m_symbol_exact(k, 1, 1) == expected
+    assert m_symbol_exact(k, 1, 1) == expected
 
 
 @pytest.mark.parametrize("k", sorted(POINT_VALUES))
@@ -39,8 +41,8 @@ def test_divergence_exact_is_zero():
     rng = np.random.default_rng(5)
     for _ in range(50):
         k = tuple(int(v) for v in rng.integers(-20, 21, size=3))
-        assert symbols.divergence_exact(k, 1, 1) == 0
-        assert symbols.divergence_exact(k, 2, 3) == 0
+        assert divergence_exact(k, 1, 1) == 0
+        assert divergence_exact(k, 2, 3) == 0
 
 
 def test_t_symbol_contraction_and_link():
@@ -57,7 +59,7 @@ def test_t_symbol_contraction_and_link():
 def test_t_symbol_exact_matches_float():
     k = (2, -3, 4)
     T = symbols.t_symbol(k, UNIT)
-    Te = symbols.t_symbol_exact(k, 1, 1)
+    Te = t_symbol_exact(k, 1, 1)
     for i in range(3):
         for j in range(3):
             assert T[i, j].real == 0.0
@@ -150,7 +152,7 @@ def test_symbol_properties(k, omega, mu):
     neg = symbols.m_symbol(tuple(-ks), phys)
     assert np.array_equal(neg, m)
     for i, kv in enumerate(k):
-        assert symbols.divergence_exact(kv, omega, mu) == 0
+        assert divergence_exact(kv, omega, mu) == 0
         # a batched call equals the pointwise calls exactly
         assert np.array_equal(symbols.m_symbol(kv, phys), m[:, i])
         assert np.array_equal(symbols.t_symbol(kv, phys), t[:, :, i])
@@ -160,7 +162,7 @@ def test_symbol_properties(k, omega, mu):
             continue
         # relative to |M|: M1 and M2 subtract nearly equal terms
         exact = np.array([float(v) for v in
-                          symbols.m_symbol_exact(kv, phys.omega, phys.mu)])
+                          m_symbol_exact(kv, phys.omega, phys.mu)])
         scale = np.abs(exact).max()
         assert np.abs(m[:, i] - exact).max() <= 1e-15 * scale
         # M_j = i k_i T_ij
