@@ -156,14 +156,14 @@ class FullSliceTrajectory:
     magnetic_norm: np.ndarray
 
 
-def evolve_full_slice(state: FullSliceState, dt: float,
-                      t_end: float) -> FullSliceTrajectory:
+def evolve_full_slice(state: FullSliceState, dt: float, t_end: float,
+                      counters: list = None) -> FullSliceTrajectory:
     """Explicit RK4 trajectory of the general slice operator.
 
     Records at every step the slice l2 norm and the norm of the induced
     magnetic field, sqrt(sum |b(k1, k2, k3)|^2 |theta_hat(k3)|^2).
     Requires dt <= full_slice_max_dt; a non-finite state raises
-    DivergenceError.
+    DivergenceError.  Given counters, a run appends its half, steps and rhs.
     """
     if dt <= 0 or t_end <= 0:
         raise ValueError("dt and t_end must be positive")
@@ -187,6 +187,8 @@ def evolve_full_slice(state: FullSliceState, dt: float,
         rows.append((i * dt, float(np.linalg.norm(y)),
                      float(np.sqrt(np.sum(b2 * np.abs(y) ** 2)))))
     t, norm, magnetic = (np.asarray(col) for col in zip(*rows))
+    if counters is not None:
+        counters.append(dict(half=state.half, steps=i, rhs=4 * i))
     return FullSliceTrajectory(t=t, norm=norm, magnetic_norm=magnetic)
 
 

@@ -278,25 +278,25 @@ def _random_smooth_field(n: int, decay: float, seed: int,
 
 def _synthetic_decay_field(n: int, tau: float, q: float, amplitude: float,
                            seed: int = None) -> fields.SpectralField:
-    """|c(k)| = amplitude e^{-tau |k|} |k|^{-q} exactly, random phases."""
+    """|c(k)| = amplitude e^{-tau |k|} |k|^{-q} exactly, phases seeded or 0."""
     shape = (2 * n + 1,) * 3
-    kn = fields.wavenumber_norms(n)
-    with np.errstate(divide="ignore"):
-        mag = amplitude * np.exp(-tau * kn) * np.where(kn > 0, kn, 1.0) ** (-q)
+    mag = np.empty(shape, dtype=complex if seed is None else float)
+    for plane, kn in zip(mag, fields._slab_norms(n)):
+        plane[...] = (amplitude * np.exp(-tau * kn)
+                      * np.where(kn > 0, kn, 1.0) ** (-q))
     mag[n, n, n] = 0.0
     if seed is None:
-        c = mag  # SpectralField makes the one complex copy
-    else:
-        rng = np.random.default_rng(seed)
-        phase = np.exp(2j * np.pi * rng.random(shape))
-        c = _hermitianize(mag * phase)
-        # keep the prescribed magnitudes exactly; hermitianize only phases
-        with np.errstate(invalid="ignore", divide="ignore"):
-            unit = np.where(np.abs(c) > 0, c / np.abs(c), 1.0)
-        c = mag * unit
-        c[:, :, n] = 0.0
-        c = _hermitianize(c)
-    return fields.SpectralField(c)
+        mag.flags.writeable = False  # read-only: SpectralField keeps it
+        return fields.SpectralField(mag)
+    rng = np.random.default_rng(seed)
+    phase = np.exp(2j * np.pi * rng.random(shape))
+    c = _hermitianize(mag * phase)
+    # keep the prescribed magnitudes exactly; hermitianize only phases
+    with np.errstate(invalid="ignore", divide="ignore"):
+        unit = np.where(np.abs(c) > 0, c / np.abs(c), 1.0)
+    c = mag * unit
+    c[:, :, n] = 0.0
+    return fields.SpectralField(_hermitianize(c))
 
 
 def _final_field(steps, n: int) -> fields.SpectralField:
@@ -392,16 +392,17 @@ def _run_slice_growth(params, tols, out_dir, threads):
     big_p = params["P"]
     mode = spectrum.solve_growth_rate(mp, P=big_p)
     sigma = mode.sigma
-    dt = params["dt"]
+    dt, slices = params["dt"], []
 
     traj_e = evolution.evolve_full_slice(
-        evolution.embed_restricted(mp, mode.c_tilde), dt, 3.0 / sigma)
+        evolution.embed_restricted(mp, mode.c_tilde), dt, 3.0 / sigma, slices)
     rate_e = evolution.measure_growth_rate(traj_e.t, traj_e.norm,
                                            (0.0, 3.0 / sigma))
     rel_e = abs(rate_e - sigma) / sigma
 
     traj_g = evolution.evolve_full_slice(
-        evolution.embed_restricted(mp, np.ones(big_p)), dt, 8.0 / sigma)
+        evolution.embed_restricted(mp, np.ones(big_p)), dt, 8.0 / sigma,
+        slices)
     rate_g = evolution.measure_growth_rate(traj_g.t, traj_g.norm,
                                            (5.0 / sigma, 8.0 / sigma))
     rel_g = abs(rate_g - sigma) / sigma
@@ -423,7 +424,7 @@ def _run_slice_growth(params, tols, out_dir, threads):
         _check("generic_rate", rows[1]["ok"], rel_g, tols["generic_rel"]),
     ]
     columns = ["case", "sigma", "fitted", "rel_err", "tolerance", "ok"]
-    return ExperimentResult(columns, rows, checks)
+    return ExperimentResult(columns, rows, checks, counters={"slice": slices})
 
 
 def _run_illposed_scaling(params, tols, out_dir, threads):
@@ -512,14 +513,14 @@ def _run_diffusive_sweep(params, tols, out_dir, threads):
                                                                 kappa)]})
 
 
-def _slice_rate_pair(mode, slice_p):
+def _slice_rate_pair(mode, slice_p, counters):
     """theta and magnetic growth rates from the linear slice evolution."""
     keep = min(slice_p, mode.c_tilde.size)
     full = evolution.embed_restricted(mode.params, mode.c_tilde[:keep],
                                       mode.kappa)
     t_end = 3.0 / mode.sigma
     dt = min(t_end / 60.0, evolution.full_slice_max_dt(full))
-    traj = evolution.evolve_full_slice(full, dt, t_end)
+    traj = evolution.evolve_full_slice(full, dt, t_end, counters)
     window = (t_end / 3.0, t_end)
     return tuple(evolution.measure_growth_rate(traj.t, norm, window)
                  for norm in (traj.norm, traj.magnetic_norm))
@@ -537,7 +538,8 @@ def _run_dynamo_scaling(params, tols, out_dir, threads):
         sweep = spectrum.sweep_growth_rates(kappa, a, m, phys, box1, box2)
         _, mode = _argmax_mode(sweep, kappa, a, m, phys)
         bound = spectrum.dynamo_bound(kappa, a, phys)
-        rate_t, rate_b = _slice_rate_pair(mode, params["slice_P"])
+        slices = []
+        rate_t, rate_b = _slice_rate_pair(mode, params["slice_P"], slices)
         row = {"kappa": kappa, "k1_max": box1, "k2_max": box2,
                "k1_argmax": mode.params.k1, "k2_argmax": mode.params.k2,
                "k1_predicted": k1p, "k2_predicted": k2p,
@@ -545,11 +547,11 @@ def _run_dynamo_scaling(params, tols, out_dir, threads):
                "sigma_times_kappa": mode.sigma * kappa,
                "rate_theta": rate_t, "rate_magnetic": rate_b,
                "bound_met": mode.sigma >= bound}
-        return row, _sweep_counters(sweep, kappa)
+        return row, _sweep_counters(sweep, kappa), slices[0]
 
     done = _parallel_map(work, sorted(params["kappas"], reverse=True),
                          threads)
-    rows = [row for row, _ in done]
+    rows = [row for row, _, _ in done]
     factor = tols["argmax_factor"]
     argmax_ok = all(
         1.0 / factor <= r["k1_argmax"] / r["k1_predicted"] <= factor
@@ -573,8 +575,9 @@ def _run_dynamo_scaling(params, tols, out_dir, threads):
                "k1_predicted", "k2_predicted", "sigma_max", "sigma_bound",
                "sigma_times_kappa", "rate_theta", "rate_magnetic",
                "bound_met"]
-    return ExperimentResult(columns, rows, checks,
-                            counters={"sweep": [box for _, box in done]})
+    return ExperimentResult(columns, rows, checks, counters={
+        "sweep": [box for _, box, _ in done],
+        "slice": [run for _, _, run in done]})
 
 
 def _run_gevrey_breakdown(params, tols, out_dir, threads):
@@ -589,8 +592,8 @@ def _run_gevrey_breakdown(params, tols, out_dir, threads):
     # synthetic radius fits at the larger resolution
     worst_fit = 0.0
     for tau in (0.1, 0.5, 2.0):
-        fld = _synthetic_decay_field(params["n_fit"], tau, 4.0, 1.0)
-        est = fields.radius_estimate(fld)
+        est = fields.radius_estimate(  # no name keeps a fit field alive
+            _synthetic_decay_field(params["n_fit"], tau, 4.0, 1.0))
         rel = abs(est.radius - tau) / tau
         worst_fit = max(worst_fit, rel)
         rows.append({"series": "radius_fit", "x": tau, "value": est.radius,
@@ -731,7 +734,7 @@ def _run_lipschitz_blowup(params, tols, out_dir, threads):
     phys = PhysicalParams.from_mu(omega=params["omega"], mu=params["mu"])
     a, m, eps, dt = params["a"], params["m"], params["eps"], params["dt"]
     t_probe = params["t_probe"]
-    rows, runs = [], []
+    rows, runs, slices = [], [], []
     for j in sorted(params["j_list"]):
         mp = ModeParams(a=a, m=m, k1=j, k2=_square_root("params.j_list", j),
                         phys=phys)
@@ -754,7 +757,7 @@ def _run_lipschitz_blowup(params, tols, out_dir, threads):
         p_keep = max(8, min(mode.truncation_P, n // m))
         lin = evolution.evolve_full_slice(
             evolution.embed_restricted(mp, mode.c_tilde[:p_keep]), dt,
-            t_probe)
+            t_probe, slices)
         closed = math.exp(mode.sigma * t_probe)
         rows.append({"j": j, "sigma": mode.sigma, "ratio_nonlinear": ratio_nl,
                      "ratio_linear_run": float(lin.norm[-1] / lin.norm[0]),
@@ -779,7 +782,7 @@ def _run_lipschitz_blowup(params, tols, out_dir, threads):
     columns = ["j", "sigma", "ratio_nonlinear", "ratio_linear_run",
                "ratio_closed_form", "gap_vs_closed"]
     return ExperimentResult(columns, rows, checks,
-                            counters={"nonlinear": runs})
+                            counters={"nonlinear": runs, "slice": slices})
 
 
 def _run_nonlinear_energy(params, tols, out_dir, threads):

@@ -74,14 +74,19 @@ class SpectralField:
 
 @functools.lru_cache(maxsize=16)
 def wavenumber_norms(n: int) -> np.ndarray:
-    """Read-only |k| on the centered cube |k_i| <= n, one cached copy per n
-    (the integer |k|^2 is summed exactly, so every entry is a correctly
-    rounded square root)."""
-    k = np.arange(-n, n + 1)
-    kn = np.sqrt((k[:, None, None] ** 2 + k[None, :, None] ** 2
-                  + k[None, None, :] ** 2).astype(float))
+    """Read-only |k| on the centered cube |k_i| <= n, one cached copy per n."""
+    kn = np.stack(list(_slab_norms(n)))
     kn.flags.writeable = False
     return kn
+
+
+def _slab_norms(n: int):
+    """|k| on the cube |k_i| <= n one k1 plane at a time, in index order:
+    the correctly rounded root of the exact integer k1^2 + k2^2 + k3^2."""
+    k = np.arange(-n, n + 1)
+    k23 = k[:, None] ** 2 + k[None, :] ** 2
+    for k1 in k:
+        yield np.sqrt((k1 * k1 + k23).astype(float))
 
 
 def _index(k, n: int) -> tuple:
@@ -92,6 +97,13 @@ def _index(k, n: int) -> tuple:
         raise ValueError("wavevector %r is not a triple inside |k|_inf <= %d"
                          % (k, n))
     return tuple(x + n for x in k)
+
+
+def _finite(c: np.ndarray) -> np.ndarray:
+    """c, or ValueError when a coefficient is NaN or infinite."""
+    if not np.all(np.isfinite(c)):
+        raise ValueError("coefficients must be finite")
+    return c
 
 
 def l2_norm(c: np.ndarray) -> float:
@@ -106,7 +118,7 @@ def sobolev_a(fld: SpectralField, s: float = 1.5) -> float:
     """sum |k|^s |c(k)|, the quantity accumulated by the radius ODEs."""
     kn = wavenumber_norms(fld.n)
     mask = kn > 0
-    return float(np.sum(kn[mask] ** s * np.abs(fld.coeffs[mask])))
+    return float(np.sum(kn[mask] ** s * np.abs(_finite(fld.coeffs)[mask])))
 
 
 def gevrey_norm(fld: SpectralField, tau: float, r: float) -> float:
@@ -120,7 +132,7 @@ def gevrey_norm(fld: SpectralField, tau: float, r: float) -> float:
     kn = wavenumber_norms(fld.n)
     mask = kn > 0
     kn = kn[mask]
-    mag2 = np.abs(fld.coeffs[mask]) ** 2
+    mag2 = np.abs(_finite(fld.coeffs)[mask]) ** 2
     with np.errstate(over="ignore", invalid="ignore"):
         w = kn ** (2.0 * r) * np.exp(2.0 * tau * kn)
         # an overflowed weight on an empty shell adds nothing
@@ -164,24 +176,25 @@ def radius_estimate(fld: SpectralField) -> RadiusEstimate:
 
     A trailing run of >= 3 exact-zero shells marks a trigonometric
     polynomial: the field is entire and radius = +inf.  Fewer than
-    _MIN_SHELLS shells above _SHELL_FLOOR raise InsufficientShellsError.
+    _MIN_SHELLS shells above _SHELL_FLOOR raise InsufficientShellsError, a
+    NaN or infinite coefficient ValueError.  It reads one k1 plane at a time.
     """
-    kn = wavenumber_norms(fld.n).ravel()
-    mag = np.abs(fld.coeffs.ravel())
-    shell = np.rint(kn).astype(int)
-    smax = int(shell.max())
-    best = np.zeros(smax + 1)
-    np.maximum.at(best, shell, mag)
-    # representative |k|: first mode attaining the shell max
-    rep = np.zeros(smax + 1)
-    cand = np.flatnonzero((shell >= 1) & (mag > 0) & (mag == best[shell]))
-    hit_shells, first = np.unique(shell[cand], return_index=True)
-    rep[hit_shells] = kn[cand[first]]
-    counts = np.bincount(shell, minlength=smax + 1)
-    present = counts > 0
-    present[0] = False
-    rstar = rep[present]
-    cstar = best[present]
+    smax = int(np.rint(np.sqrt(3.0 * fld.n ** 2)))  # the corner's shell
+    best, rep, counts = np.zeros((3, smax + 1))
+    for plane, kn in zip(fld.coeffs, _slab_norms(fld.n)):
+        kn, mag = kn.ravel(), np.abs(_finite(plane)).ravel()
+        shell = np.rint(kn).astype(int)
+        top = np.zeros(smax + 1)
+        np.maximum.at(top, shell, mag)
+        # representative |k|: first mode at the max; a tie keeps the earlier
+        new = top > best
+        cand = np.flatnonzero(new[shell] & (mag == top[shell]))
+        hit_shells, first = np.unique(shell[cand], return_index=True)
+        rep[hit_shells] = kn[cand[first]]
+        best[new] = top[new]
+        counts += np.bincount(shell, minlength=smax + 1)
+    present = 1 + np.flatnonzero(counts[1:])  # the shells >= 1 with a mode
+    rstar, cstar = rep[present], best[present]
 
     # exact-zero tail of >= 3 shells: trigonometric polynomial, entire field
     nonzero = np.flatnonzero(cstar)

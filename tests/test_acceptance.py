@@ -266,20 +266,42 @@ def test_gevrey_breakdown_outputs_frozen(tmp_path):
             == NONLINEAR_SHA256["gevrey-breakdown/" + name]
 
 
-def test_criterion_10_lipschitz_blowup(capsys, tmp_path):
+@pytest.fixture(scope="module")
+def lipschitz_blowup(tmp_path_factory):
+    """One default lipschitz-blowup run serves criterion 10 and the slice
+    counters: (result, wall time, output directory)."""
+    out_dir = tmp_path_factory.mktemp("lipschitz")
     start = time.monotonic()
-    table = _run("lipschitz-blowup", tmp_path)[0].rows
+    result = _run("lipschitz-blowup", out_dir)[0]
+    return result, time.monotonic() - start, out_dir
+
+
+def test_criterion_10_lipschitz_blowup(capsys, lipschitz_blowup):
+    result, elapsed, out_dir = lipschitz_blowup
+    table = result.rows
     ratios = [row["ratio_nonlinear"] for row in table]
     increasing = all(b > a for a, b in zip(ratios, ratios[1:]))
     worst = max(row["gap_vs_closed"] for row in table)
-    elapsed = time.monotonic() - start
     ok = increasing and worst <= 5e-2 and elapsed < 300.0
     _report(capsys, 10, ok, "Lipschitz blowup",
             "ratios %s increasing %s, worst gap %.2e, %.1fs"
             % (["%.3f" % r for r in ratios], increasing, worst, elapsed))
     assert ok
-    assert _sha256(tmp_path / "results.csv") \
+    assert _sha256(out_dir / "results.csv") \
         == NONLINEAR_SHA256["lipschitz-blowup/results.csv"]
+
+
+def test_illposed_slice_counters_match_traced_rhs_calls(tmp_path,
+                                                        lipschitz_blowup):
+    # the benchmark's illposed round runs slice-growth and lipschitz-blowup
+    # on their default configs (at every seed); a traced round counts
+    # 32,348 full_slice_rhs calls, which the counters give from the steps
+    _run("slice-growth", tmp_path)
+    total = 0
+    for out_dir in (tmp_path, lipschitz_blowup[2]):
+        with open(out_dir / "summary.json") as fh:
+            total += sum(r["rhs"] for r in json.load(fh)["counters"]["slice"])
+    assert total == 32348
 
 
 def test_criterion_11_uniqueness_gronwall(capsys):

@@ -3,11 +3,12 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from mg_spectra import cli, experiments, spectrum
+from mg_spectra import cli, experiments, fields, spectrum
 
 
 def test_validate_config_defaults():
@@ -247,6 +248,57 @@ def test_nonlinear_counters_in_summary(tmp_path):
         for r in entries:
             assert r["rhs"] == 4 * r["steps"] + 1
             assert r["transforms"] == 4 * r["rhs"]
+
+
+def test_slice_counters_in_summary(tmp_path):
+    # each evolve_full_slice run counts its profile half-width, its steps
+    # and its full_slice_rhs calls, 4 per RK4 step; the counts are the
+    # same at one and two threads and stay out of results.csv
+    cases = (("slice-growth", {}, [(128, 2096), (128, 5591)]),
+             ("dynamo-scaling", {"kappas": [1e-2]}, [(48, 223)]),
+             ("lipschitz-blowup", {"j_list": [1]}, [(8, 100)]))
+    for name, params, runs in cases:
+        seen = []
+        for threads in (1, 2):
+            out = str(tmp_path / name / str(threads))
+            experiments.run_experiment(name, {"params": params}, out, threads)
+            with open(os.path.join(out, "summary.json")) as fh:
+                seen.append(json.load(fh)["counters"])
+            with open(os.path.join(out, "results.csv")) as fh:
+                header = fh.readline()
+            assert "half" not in header and "rhs" not in header
+        assert seen[0] == seen[1]
+        entries = seen[0]["slice"]
+        assert [(r["half"], r["steps"]) for r in entries] == runs
+        assert all(r["rhs"] == 4 * r["steps"] for r in entries)
+
+
+def test_radius_fit_working_set_is_planar(tmp_path):
+    # n = 48: the field is a 97^3 complex cube of 13.9 MiB; building it
+    # and fitting its radius each need under 2 MiB besides, and a
+    # gevrey-breakdown run never holds two of its n_fit fields at once
+    cube = 97 ** 3 * 16
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fld = experiments._synthetic_decay_field(48, 0.5, 4.0, 1.0)
+        build = tracemalloc.get_traced_memory()[1] - base - cube
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fields.radius_estimate(fld)
+        fit = tracemalloc.get_traced_memory()[1] - base
+        del fld
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        assert experiments.run_experiment(
+            "gevrey-breakdown", {"params": {"n_fit": 48, "t_end": 0.1}},
+            str(tmp_path)).passed
+        run = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert build < 2 * 2 ** 20
+    assert fit < 2 * 2 ** 20
+    assert cube < run < 2 * cube
 
 
 def test_oracle_solver_in_summary(tmp_path):

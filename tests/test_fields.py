@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mg_spectra import fields
 from mg_spectra.evolution import steady_state_field
@@ -15,6 +16,7 @@ from mg_spectra.fields import (
     radius_ode_refined,
     sobolev_a,
 )
+from radius_reference import radius_estimate_full_cube
 
 
 def _pair_field(n=3, amp=0.5, k=(1, 0, 1)):
@@ -135,6 +137,89 @@ def test_radius_estimate_needs_shells():
     f = _pair_field(n=2)
     with pytest.raises(InsufficientShellsError):
         radius_estimate(f)
+
+
+# shell levels from a few values, so that equal shell maxima recur
+_LEVELS = (0.0, 1e-15, 2.0 ** -40, 0.125, 0.5, 1.0, 3.0)
+# per-mode factors: quarter turns keep |c| exact, 0 and 0.5 stay below it
+_UNITS = np.array([0.0, 0.5, 1.0, -1.0, 1j, -1j])
+
+
+def _shell_field(n, levels, units):
+    """The field whose mode k is levels[rint |k|] times units[k]."""
+    shell = np.rint(fields.wavenumber_norms(n)).astype(int)
+    return SpectralField(np.asarray(levels)[shell] * units)
+
+
+def _same_as_full_cube(fld):
+    """radius_estimate gives the full-cube fit's bits or its exception;
+    returns which outcome it was."""
+    try:
+        expect = radius_estimate_full_cube(fld)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as err:
+            radius_estimate(fld)
+        assert err.type is type(exc) and str(err.value) == str(exc)
+        return type(exc).__name__
+    got = radius_estimate(fld)
+    assert got.entire == expect.entire
+    assert got.radius.hex() == expect.radius.hex()
+    return "entire" if got.entire else "fit"
+
+
+@pytest.mark.parametrize("zero_shells, floor_from, outcome", [
+    ((), None, "fit"),                 # every mode of a shell ties
+    ((3, 5), None, "fit"),             # all-zero shells inside the fit
+    ((8, 9, 10), None, "entire"),      # an exact-zero tail
+    ((), 4, "InsufficientShellsError"),  # shells 4.. under the floor
+])
+def test_radius_estimate_named_cases_match_full_cube(zero_shells, floor_from,
+                                                     outcome):
+    # n = 6 has shells 0..10, each holding modes in several k1 planes; two
+    # in three modes of a shell attain its maximum, so the representative
+    # is the first of many ties, at another |k| than the later ones
+    levels = 2.0 ** -np.arange(11.0)
+    levels[list(zero_shells)] = 0.0
+    if floor_from is not None:
+        levels[floor_from:] = 1e-15
+    units = np.random.default_rng(5).choice(_UNITS, (13, 13, 13))
+    fld = _shell_field(6, levels, units)
+    assert _same_as_full_cube(fld) == outcome
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 7), seed=st.integers(0, 2 ** 32 - 1),
+       zero_tail=st.integers(0, 4), smooth=st.booleans())
+def test_radius_estimate_matches_full_cube(n, seed, zero_tail, smooth):
+    # random levels, or a decaying spectrum with random all-zero shells,
+    # an optional exact-zero tail, and random per-mode factors that tie
+    # the shell maximum across k1 planes at different |k|
+    rng = np.random.default_rng(seed)
+    top = int(np.rint(np.sqrt(3.0) * n))
+    if smooth:
+        levels = np.exp(-rng.uniform(0.05, 3.0) * np.arange(top + 1.0))
+        levels[rng.random(top + 1) < 0.2] = 0.0
+    else:
+        levels = rng.choice(_LEVELS, top + 1)
+    levels[top + 1 - zero_tail:] = 0.0
+    _same_as_full_cube(_shell_field(n, levels,
+                                    rng.choice(_UNITS, (2 * n + 1,) * 3)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_non_finite_coefficients_refused(bad):
+    # one non-finite coefficient at |k| = 2 of a decaying n = 12 field: a
+    # ValueError of its own, not a radius, an inf sum or a Gevrey overflow
+    c = _shell_field(12, np.exp(-0.5 * np.arange(22.0)),
+                     np.ones((25, 25, 25))).coeffs.copy()
+    c[12 + 2, 12, 12] = bad
+    fld = SpectralField(c)
+    for call in (lambda: radius_estimate(fld), lambda: sobolev_a(fld),
+                 lambda: gevrey_norm(fld, 0.1, 3.0)):
+        with pytest.raises(ValueError, match="coefficients must be finite") \
+                as err:
+            call()
+        assert err.type is ValueError
 
 
 def test_tracker_append_validation():
