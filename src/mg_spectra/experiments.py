@@ -22,7 +22,6 @@ import os
 import platform
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,15 +213,6 @@ def _write_csv(path, columns, rows) -> None:
         fh.write(",".join(columns) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(row[c]) for c in columns) + "\n")
-
-
-def _parallel_map(fn, items, threads: int):
-    """Order-preserving map, optionally on a thread pool."""
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _json_default(obj):
@@ -454,13 +444,6 @@ def _run_illposed_scaling(params, tols, out_dir, threads):
                             counters={"roots": [_root_counters(0.0, solved)]})
 
 
-def _sweep_counters(sweep, kappa):
-    """A sweep box's pairs, and those with a root: the pairs bisected."""
-    sigma = sweep[2]
-    return {"kappa": kappa, "pairs": int(sigma.size),
-            "pairs_bisected": int(np.count_nonzero(~np.isnan(sigma)))}
-
-
 def _argmax_mode(sweep, kappa, a, m, phys):
     """The fastest-growing mode of a sweep_growth_rates box, re-solved by
     the scalar solver: (the box's sigma there, the UnstableMode)."""
@@ -480,8 +463,9 @@ def _run_diffusive_sweep(params, tols, out_dir, threads):
     omega, mu = params["omega"], params["mu"]
     phys = PhysicalParams.from_mu(omega=omega, mu=mu)
     kappa, a, m = params["kappa"], params["a"], params["m"]
+    boxes = []
     sweep = spectrum.sweep_growth_rates(kappa, a, m, phys, params["k1_max"],
-                                        params["k2_max"])
+                                        params["k2_max"], counters=boxes)
     grid_sigma, mode = _argmax_mode(sweep, kappa, a, m, phys)
     k1g, k2g, sigma = sweep
     rows = []
@@ -508,9 +492,8 @@ def _run_diffusive_sweep(params, tols, out_dir, threads):
                bound_violations, 0),
     ]
     columns = ["k1", "k2", "sigma", "lower_bound"]
-    return ExperimentResult(columns, rows, checks,
-                            counters={"sweep": [_sweep_counters(sweep,
-                                                                kappa)]})
+    return ExperimentResult(columns, rows, checks, counters={
+        "sweep": [dict(kappa=kappa, **boxes[0])]})
 
 
 def _slice_rate_pair(mode, slice_p, counters):
@@ -531,27 +514,25 @@ def _run_dynamo_scaling(params, tols, out_dir, threads):
     phys = PhysicalParams.from_mu(omega=omega, mu=mu)
     a, m = params["a"], params["m"]
 
-    def work(kappa):
+    rows, sweeps, slices = [], [], []
+    for kappa in sorted(params["kappas"], reverse=True):
         k1p, k2p = spectrum.predicted_optimal_mode(kappa, a, m, phys)
         box1 = int(math.ceil(4.0 * k1p))
         box2 = int(math.ceil(4.0 * k2p))
-        sweep = spectrum.sweep_growth_rates(kappa, a, m, phys, box1, box2)
+        boxes = []
+        sweep = spectrum.sweep_growth_rates(kappa, a, m, phys, box1, box2,
+                                            largest_only=True, counters=boxes)
+        sweeps.append(dict(kappa=kappa, **boxes[0]))
         _, mode = _argmax_mode(sweep, kappa, a, m, phys)
         bound = spectrum.dynamo_bound(kappa, a, phys)
-        slices = []
         rate_t, rate_b = _slice_rate_pair(mode, params["slice_P"], slices)
-        row = {"kappa": kappa, "k1_max": box1, "k2_max": box2,
-               "k1_argmax": mode.params.k1, "k2_argmax": mode.params.k2,
-               "k1_predicted": k1p, "k2_predicted": k2p,
-               "sigma_max": mode.sigma, "sigma_bound": bound,
-               "sigma_times_kappa": mode.sigma * kappa,
-               "rate_theta": rate_t, "rate_magnetic": rate_b,
-               "bound_met": mode.sigma >= bound}
-        return row, _sweep_counters(sweep, kappa), slices[0]
-
-    done = _parallel_map(work, sorted(params["kappas"], reverse=True),
-                         threads)
-    rows = [row for row, _, _ in done]
+        rows.append({"kappa": kappa, "k1_max": box1, "k2_max": box2,
+                     "k1_argmax": mode.params.k1, "k2_argmax": mode.params.k2,
+                     "k1_predicted": k1p, "k2_predicted": k2p,
+                     "sigma_max": mode.sigma, "sigma_bound": bound,
+                     "sigma_times_kappa": mode.sigma * kappa,
+                     "rate_theta": rate_t, "rate_magnetic": rate_b,
+                     "bound_met": mode.sigma >= bound})
     factor = tols["argmax_factor"]
     argmax_ok = all(
         1.0 / factor <= r["k1_argmax"] / r["k1_predicted"] <= factor
@@ -575,9 +556,8 @@ def _run_dynamo_scaling(params, tols, out_dir, threads):
                "k1_predicted", "k2_predicted", "sigma_max", "sigma_bound",
                "sigma_times_kappa", "rate_theta", "rate_magnetic",
                "bound_met"]
-    return ExperimentResult(columns, rows, checks, counters={
-        "sweep": [box for _, box, _ in done],
-        "slice": [run for _, _, run in done]})
+    return ExperimentResult(columns, rows, checks,
+                            counters={"sweep": sweeps, "slice": slices})
 
 
 def _run_gevrey_breakdown(params, tols, out_dir, threads):

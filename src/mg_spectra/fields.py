@@ -125,24 +125,31 @@ def gevrey_norm(fld: SpectralField, tau: float, r: float) -> float:
     """Weighted norm sqrt(sum |k|^{2r} exp(2 tau |k|) |c|^2).
 
     The k = 0 coefficient is excluded (fields are mean-zero).  Raises
-    GevreyOverflowError when the weight overflows on a populated shell.
+    GevreyOverflowError when the weight overflows on a populated shell,
+    and ValueError naming the shell when the sum overflows under finite
+    weights (|c|^2 or a weighted term too large for a float).
     """
     if tau < 0:
         raise ValueError("tau must be non-negative")
     kn = wavenumber_norms(fld.n)
     mask = kn > 0
     kn = kn[mask]
-    mag2 = np.abs(_finite(fld.coeffs)[mask]) ** 2
     with np.errstate(over="ignore", invalid="ignore"):
+        mag2 = np.abs(_finite(fld.coeffs)[mask]) ** 2
         w = kn ** (2.0 * r) * np.exp(2.0 * tau * kn)
         # an overflowed weight on an empty shell adds nothing
-        total = float(np.sum(np.where(mag2 > 0, w * mag2, 0.0)))
-    if not np.isfinite(total) or not np.all(np.isfinite(w[mag2 > 0])):
+        terms = np.where(mag2 > 0, w * mag2, 0.0)
+        total = float(np.sum(terms))
+    if not np.isfinite(total):
         bad = kn[(~np.isfinite(w)) & (mag2 > 0)]
-        shell = float(np.max(bad)) if bad.size else float(np.max(kn))
-        raise GevreyOverflowError(
-            "Gevrey weight overflowed at |k| = %.6g (tau = %g)" % (shell, tau)
-        )
+        if bad.size:
+            raise GevreyOverflowError(
+                "Gevrey weight overflowed at |k| = %.6g (tau = %g)"
+                % (np.max(bad), tau))
+        i = np.argmax(terms)   # the first inf term, or the largest
+        raise ValueError(
+            "Gevrey norm overflowed at |k| = %.6g: |c|^2 = %.6g, weight "
+            "%.6g (tau = %g, r = %g)" % (kn[i], mag2[i], w[i], tau, r))
     return float(np.sqrt(total))
 
 

@@ -31,9 +31,12 @@ scalar solvers bisect one mode at a time.  A list of modes
 (solve_growth_rates) and a (k1, k2) box (sweep_growth_rates) go through
 one batched bisection, with one column of alpha per slice.  With
 diffusion it tests every slice at sigma = 0 and bisects only the slices
-with a root.  Each slice's root is elementwise work, so the batch gives
-the scalar solvers' roots bit for bit; the scalar continued fraction runs
-the same recurrence on Python floats, which round as float64 does.
+with a root.  A slice leaves the batch once its interval cannot shrink,
+and, when only the largest root is read (dynamo-scaling's argmax), once
+its upper end lies below a lower end known to belong to another root.
+Each slice's root is elementwise work, so the batch gives the scalar
+solvers' roots bit for bit; the scalar continued fraction runs the same
+recurrence on Python floats, which round as float64 does.
 LAPACK's tridiagonal ?stevd on the truncated symmetric matrix serves as
 an independent oracle.
 """
@@ -159,23 +162,7 @@ def _below(h):
     return np.isnan(h) | (h < 0.0)
 
 
-def _bisect(below, lo, hi):
-    """Bisect until no interval [lo, hi] can shrink; returns the midpoints.
-
-    below(lo) holds and below(hi) does not.  lo and hi may be arrays, each
-    entry bisected on its own; below maps an array of sigmas to a mask.
-    """
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        if np.all((mid == lo) | (mid == hi)):
-            break
-        go_lo = below(mid)
-        lo = np.where(go_lo, mid, lo)
-        hi = np.where(go_lo, hi, mid)
-    return 0.5 * (lo + hi)
-
-
-def _bisect_slices(al, kappa, ksq, m):
+def _bisect_slices(al, kappa, ksq, m, largest_only=False):
     """The top root of every slice of a batch, by one bisection.
 
     Column j of al holds alpha_q of slice j for q = 1.._DEPTH + 2, ksq
@@ -183,12 +170,23 @@ def _bisect_slices(al, kappa, ksq, m):
     every slice is bisected on its analytic bracket.  With kappa > 0 only
     the slices where sigma = 0 lies below the top eigenvalue have a root:
     they are compressed and bisected as one batch on (0, bracket top], as
-    diffusion only lowers the spectrum.  Returns (root, sigma): the mask
-    of the slices with a root, and their roots in order.
+    diffusion only lowers the spectrum.
+
+    A slice retires once its interval cannot shrink (mid == lo or
+    mid == hi): its root 0.5 (lo + hi) is then fixed.  With largest_only
+    a slice also retires, unsolved, once its hi lies strictly below the
+    best known lower end: an ordered live lo, or a root retired so far.
+    The intervals nest, so root_i <= hi_i < lo_j <= root_j and slice i
+    cannot hold the largest root; ties survive, and a NaN end retires no
+    slice.  Retired slices leave the batch.  Returns (root, sigma, tests):
+    the mask of the slices with a root, their roots in order (NaN where
+    pruned), and the slice tests made, the sigma = 0 screen included.
     """
+    tests = 0
     if kappa > 0.0:
         root = _below(_recurrence(np.zeros(ksq.shape), al, 1, kappa, ksq,
                                   m)[0])
+        tests = root.size
         # compress, not al[:, root]: the recurrence runs on C-contiguous rows
         al = np.compress(root, al, axis=1)
         ksq = ksq[root]
@@ -198,11 +196,34 @@ def _bisect_slices(al, kappa, ksq, m):
     lo, hi = _bracket(al[0], al[1])
     if kappa > 0.0:
         lo = np.zeros(ksq.shape)
-
-    def below(sigma):
-        return _below(_recurrence(sigma, al, 1, kappa, ksq, m)[0])
-
-    return root, _bisect(below, lo, hi)
+    sigma = np.full(ksq.shape, np.nan)
+    live = np.arange(ksq.size)
+    best = -np.inf
+    for _ in range(_MAX_BISECT):
+        mid = 0.5 * (lo + hi)
+        done = (mid == lo) | (mid == hi)
+        if largest_only:
+            best = float(np.max(np.where(
+                done, mid, np.where(lo <= hi, lo, -np.inf)), initial=best))
+            cut = hi < best
+            sigma[live[done & ~cut]] = mid[done & ~cut]
+            done |= cut
+        else:
+            sigma[live[done]] = mid[done]
+        if done.any():
+            keep = ~done
+            live, lo, hi, mid, ksq = (v[keep] for v in (live, lo, hi, mid,
+                                                        ksq))
+            al = np.compress(keep, al, axis=1)
+            m = m[keep] if np.ndim(m) else m
+        if not live.size:
+            break
+        tests += live.size
+        go_lo = _below(_recurrence(mid, al, 1, kappa, ksq, m)[0])
+        lo = np.where(go_lo, mid, lo)
+        hi = np.where(go_lo, hi, mid)
+    sigma[live] = 0.5 * (lo + hi)   # out of steps: a NaN end
+    return root, sigma, tests
 
 
 def f_continued_fraction(p: int, sigma: float, mp: ModeParams,
@@ -242,7 +263,7 @@ def _char(sigma: float, mp: ModeParams, kappa: float) -> float:
 
 def _root(mp: ModeParams, kappa: float, lo: float, hi: float):
     """(sigma*, |h(sigma*)|) by bisection of the pole-or-negative test:
-    _bisect on Python floats, bit for bit."""
+    _bisect_slices on Python floats, bit for bit."""
     lo, hi = float(lo), float(hi)
     for _ in range(_MAX_BISECT):
         sigma = 0.5 * (lo + hi)
@@ -379,7 +400,7 @@ def solve_growth_rates(modes, kappa: float = 0.0, P: int = 128) -> list:
                                " of " + _label(modes[i]))
     else:
         lo = np.zeros(len(modes))
-    root, sigma = _bisect_slices(al[:_DEPTH + 2], kappa, ksq, m)
+    root, sigma, _ = _bisect_slices(al[:_DEPTH + 2], kappa, ksq, m)
 
     idx = np.flatnonzero(root)
     al = np.compress(root, al, axis=1)
@@ -468,7 +489,8 @@ def dynamo_bound(kappa: float, a: float, phys: PhysicalParams) -> float:
 
 
 def sweep_growth_rates(kappa: float, a: float, m: int, phys: PhysicalParams,
-                       k1_max: int, k2_max: int):
+                       k1_max: int, k2_max: int, largest_only: bool = False,
+                       counters: list = None):
     """Vectorized diffusive root solve over the integer box
     [1, k1_max] x [1, k2_max].
 
@@ -476,16 +498,27 @@ def sweep_growth_rates(kappa: float, a: float, m: int, phys: PhysicalParams,
     exists.  The batched bisection of solve_growth_rates: every pair is
     tested at sigma = 0, and only the pairs with a root are bisected, as
     one batch.  Each pair's root is elementwise work, so it does not
-    depend on the batch it was bisected in.
+    depend on the batch it was bisected in.  With largest_only the
+    bisection drops every pair that cannot hold the largest root, which
+    is NaN there: the grid's nanargmax and its value stay those of the
+    full sweep, and so does every entry that is not NaN.  Given counters,
+    the sweep appends its pairs, the pairs_bisected (those with a root)
+    and its slice tests.
     """
     k1g, k2g = np.meshgrid(np.arange(1, k1_max + 1), np.arange(1, k2_max + 1),
                            indexing="ij")
     k1 = k1g.ravel().astype(float)
     k2 = k2g.ravel().astype(float)
     ksq = k1 * k1 + k2 * k2
-    q = np.arange(1, _DEPTH + 3)[:, None]
-    al = _alpha(q, a, m, k2, ksq, phys.omega, phys.mu)
-    root, roots = _bisect_slices(al, kappa, ksq, m)
+    # alpha is passed unnamed, so that the bisection's compressed copies
+    # replace it in memory
+    root, roots, tests = _bisect_slices(
+        _alpha(np.arange(1, _DEPTH + 3)[:, None], a, m, k2, ksq, phys.omega,
+               phys.mu), kappa, ksq, m, largest_only)
+    if counters is not None:
+        counters.append(dict(pairs=root.size,
+                             pairs_bisected=int(np.count_nonzero(root)),
+                             tests=tests))
     sigma = np.full(root.shape, np.nan)
     sigma[root] = roots
     return k1g, k2g, sigma.reshape(k1g.shape)

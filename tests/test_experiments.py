@@ -198,6 +198,24 @@ def test_sweep_counters_in_summary(tmp_path):
                 for b in seen[0]["sweep"]] == boxes
 
 
+def test_sweep_tests_in_summary(tmp_path):
+    # the slice tests of each default box: the sigma = 0 screen of every
+    # pair, then the live pairs of each bisection step; dynamo-scaling
+    # bisects only the pairs that can hold its argmax
+    cases = (("diffusive-sweep", [(1e-3, 1280 + 56430)]),
+             ("dynamo-scaling", [(1e-2, 1450 + 1165), (3e-3, 8684 + 6419),
+                                 (1e-3, 45000 + 32797)]))
+    for name, boxes in cases:
+        seen = []
+        for threads in (1, 2):
+            out = str(tmp_path / name / str(threads))
+            experiments.run_experiment(name, {}, out, threads)
+            with open(os.path.join(out, "summary.json")) as fh:
+                seen.append(json.load(fh)["counters"]["sweep"])
+        assert seen[0] == seen[1]
+        assert [(b["kappa"], b["tests"]) for b in seen[0]] == boxes
+
+
 def test_root_counters_in_summary(tmp_path):
     # each solve_growth_rates batch counts its modes and the modes with a
     # root; the counts are the same at one and two threads and stay out

@@ -112,6 +112,20 @@ def test_gevrey_norm_empty_shell_overflow():
         == 1.165821990798562
 
 
+def test_gevrey_norm_coefficient_overflow_names_its_shell():
+    # |c|^2 overflows at |k| = 2 under a finite weight: a plain ValueError
+    # that names that shell and |c|^2, not a weight overflow at the
+    # cube's empty corner |k| = 20.78; a weighted term that overflows is
+    # named the same way
+    for amp, k, msg in ((1e200, 2, "|k| = 2: |c|^2 = inf"),
+                        (1e150, 5, "|k| = 5: |c|^2 = 1e+300")):
+        f = SpectralField.from_modes(12, {(k, 0, 0): amp, (-k, 0, 0): amp})
+        with pytest.raises(ValueError) as err:
+            gevrey_norm(f, 1.0, 3.0)
+        assert err.type is ValueError
+        assert msg in str(err.value)
+
+
 @pytest.mark.parametrize("tau", [0.1, 0.5, 2.0])
 def test_radius_estimate_exact_family(tau):
     n = 24

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from mg_spectra.params import ModeParams, PhysicalParams
 from mg_spectra import spectrum
+from bisect_reference import bisect_lockstep
 
 UNIT = ModeParams()
 
@@ -352,7 +353,7 @@ def _full_box_sweep(kappa, a, m, phys, k1_max, k2_max):
     zero = np.zeros(ksq.shape)
     root = below(zero)
     hi = np.where(root, 1.0 / np.sqrt(al[0] * al[1] - al[0] * al[0]), 0.0)
-    sigma = spectrum._bisect(below, zero, hi)
+    sigma = bisect_lockstep(below, zero, hi)
     return np.where(root, sigma, np.nan).reshape(k1g.shape)
 
 
@@ -367,6 +368,59 @@ def test_sweep_bitwise_equals_full_box_bisection(kappa, a, k1_max, k2_max):
     assert np.array_equal(sg, ref, equal_nan=True)
     if kappa == 1.0:
         assert np.all(np.isnan(sg))  # no pair has a root, none is bisected
+
+
+@settings(max_examples=60, deadline=None)
+@given(log_kappa=st.floats(-3.5, 0.0), a=st.floats(1.0, 3.0),
+       m=st.integers(1, 3), omega=st.floats(0.5, 2.0), mu=st.floats(0.5, 2.0),
+       k1_max=st.integers(1, 80), k2_max=st.integers(1, 40))
+def test_largest_only_sweep_keeps_the_argmax(log_kappa, a, m, omega, mu,
+                                             k1_max, k2_max):
+    # the full sweep is the lockstep bisection's, bit for bit; the pruned
+    # one keeps its argmax, that root's bits and every root it solves
+    phys = PhysicalParams.from_mu(omega=omega, mu=mu)
+    kappa = 10.0 ** log_kappa
+    full_counts, pruned_counts = [], []
+    _, _, full = spectrum.sweep_growth_rates(kappa, a, m, phys, k1_max,
+                                             k2_max, counters=full_counts)
+    _, _, pruned = spectrum.sweep_growth_rates(
+        kappa, a, m, phys, k1_max, k2_max, largest_only=True,
+        counters=pruned_counts)
+    assert np.array_equal(full, _full_box_sweep(kappa, a, m, phys, k1_max,
+                                                k2_max), equal_nan=True)
+    solved = ~np.isnan(pruned)
+    assert np.array_equal(pruned[solved], full[solved])
+    rooted = np.count_nonzero(~np.isnan(full))
+    assert full_counts[0]["pairs_bisected"] == rooted
+    assert pruned_counts[0]["pairs_bisected"] == rooted
+    assert pruned_counts[0]["tests"] <= full_counts[0]["tests"]
+    if not rooted:
+        assert not solved.any()
+        return
+    i = np.nanargmax(full)
+    assert np.nanargmax(pruned) == i
+    assert float(pruned.flat[i]).hex() == float(full.flat[i]).hex()
+
+
+@pytest.mark.parametrize("kappa,k1_max,k2_max", [
+    (1e-2, 50, 29), (1e-2, 8, 6), (3e-3, 40, 12), (3e-3, 17, 9),
+    (1e-3, 60, 30), (0.0, 6, 5)])
+def test_largest_only_keeps_exact_ties(kappa, k1_max, k2_max):
+    # every alpha column twice, side by side: both copies of the largest
+    # root survive the pruning, and nanargmax takes the first
+    k1, k2 = (g.ravel().astype(float) for g in np.meshgrid(
+        np.arange(1, k1_max + 1), np.arange(1, k2_max + 1), indexing="ij"))
+    k1, k2 = np.repeat(k1, 2), np.repeat(k2, 2)
+    ksq = k1 * k1 + k2 * k2
+    al = spectrum._alpha(np.arange(1, spectrum._DEPTH + 3)[:, None], 4.0, 1,
+                         k2, ksq, 1.0, 1.0)
+    _, full, _ = spectrum._bisect_slices(al, kappa, ksq, 1)
+    _, pruned, _ = spectrum._bisect_slices(al, kappa, ksq, 1,
+                                           largest_only=True)
+    i = np.nanargmax(full)
+    assert i % 2 == 0 and full[i + 1] == full[i]
+    assert np.nanargmax(pruned) == i
+    assert pruned[i] == pruned[i + 1] == full[i]
 
 
 def test_sweep_memory_peak():
